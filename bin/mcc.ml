@@ -156,6 +156,9 @@ let run target source output disasm run stats optimize level do_lint werror
       | exception Sim.Cpu.Error msg ->
           Logs.err (fun m -> m "simulation error: %s" msg);
           exit 1
+      | exception Sim.Cpu.Budget_exhausted n ->
+          Logs.err (fun m -> m "simulation error: instruction budget of %d exhausted" n);
+          exit 1
       | r ->
           let p = r.Sim.Machine.profile in
           Format.printf "result: %#x (%d cycles, %d instructions)@."

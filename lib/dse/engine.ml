@@ -84,7 +84,8 @@ let clear t =
   Mutex.lock t.mutex;
   Hashtbl.reset t.table;
   Condition.broadcast t.cond;
-  Mutex.unlock t.mutex
+  Mutex.unlock t.mutex;
+  Sim.Pricer.clear ()
 
 (* Deterministic synthesis "measurement noise": a hash of the
    configuration drives a uniform error in [-1, 1] x amplitude, where

@@ -57,7 +57,9 @@ val create : ?pool:Pool.t -> unit -> t
     pure stop-the-world overhead. *)
 
 val clear : t -> unit
-(** Drop every cached result (counters are unaffected).  For tests
+(** Drop every cached result and every recorded pricing trace
+    ({!Sim.Pricer.clear}), so the next evaluation of an application
+    records it again; counters are unaffected.  For tests and requests
     that need a cold engine. *)
 
 val eval_on :

@@ -376,7 +376,10 @@ let probe =
     device_brams;
     simulate =
       (fun app config ->
-        let result = Apps.Registry.run ~config app in
+        let result =
+          Sim.Pricer.run ~reps:app.Apps.Registry.reps config
+            (Lazy.force app.Apps.Registry.program)
+        in
         (Sim.Machine.seconds result, result.Sim.Machine.profile));
     static_bounds =
       Some (fun app config -> Bounds.app_bounds (cycle_model config) app);

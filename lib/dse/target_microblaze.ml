@@ -373,7 +373,11 @@ let probe =
     device_brams;
     simulate =
       (fun app config ->
-        let result = run_app ~config app in
+        let result =
+          Sim.Pricer.run ~reps:app.Apps.Registry.reps
+            ~shift_stall:(shift_stall config) (lower config)
+            (Lazy.force app.Apps.Registry.program)
+        in
         (Sim.Machine.seconds result, result.Sim.Machine.profile));
     static_bounds =
       Some (fun app config -> Bounds.app_bounds (cycle_model config) app);

@@ -107,6 +107,53 @@ let interp_vs_sim =
           else true);
     }
 
+(* Replay pricing against the full simulator: one recording of the
+   program priced on a random LEON2 configuration and on a random
+   lowered MicroBlaze configuration (its shift stall included), both
+   over at least two epochs, must reproduce Machine.run exactly —
+   profile, cold and warm cycles, and checksum. *)
+let pricer_vs_sim =
+  T
+    {
+      name = "pricer-vs-sim";
+      doc =
+        "Sim.Pricer on one recording reproduces Machine.run bit for bit on \
+         random LEON2 and MicroBlaze configurations";
+      gen =
+        QCheck2.Gen.quad Gen.program Gen.config Gen.mb_config
+          (QCheck2.Gen.int_range 2 6);
+      print =
+        (fun (p, c, mb, reps) ->
+          Printf.sprintf "// config: %s\n// mb config: %s\n// reps: %d\n%s"
+            (Gen.print_config c) (Gen.print_mb_config mb) reps
+            (Gen.print_program p));
+      prop =
+        (fun (p, config, mb, reps) ->
+          checked p;
+          let prog = Minic.Codegen.compile p in
+          let trace = Sim.Pricer.record prog in
+          List.for_all
+            (fun (target, config, shift_stall) ->
+              let sim = Sim.Machine.run ~reps ~shift_stall config prog in
+              let priced = Sim.Pricer.price ~reps ~shift_stall trace config in
+              sim = priced
+              || T2.fail_reportf
+                   "%s: priced (checksum %d, cold %d, warm %d)@ %a@ simulated \
+                    (checksum %d, cold %d, warm %d)@ %a"
+                   target priced.Sim.Machine.checksum
+                   priced.Sim.Machine.cold_cycles priced.Sim.Machine.warm_cycles
+                   Sim.Profiler.pp priced.Sim.Machine.profile
+                   sim.Sim.Machine.checksum sim.Sim.Machine.cold_cycles
+                   sim.Sim.Machine.warm_cycles Sim.Profiler.pp
+                   sim.Sim.Machine.profile)
+            [
+              ("leon2", config, 0);
+              ( "microblaze",
+                Dse.Target_microblaze.lower mb,
+                Dse.Target_microblaze.shift_stall mb );
+            ]);
+    }
+
 let optimize_preserves =
   T
     {
@@ -871,6 +918,7 @@ let phase_determinism =
 let all =
   [
     interp_vs_sim;
+    pricer_vs_sim;
     optimize_preserves;
     lint_sound;
     codec_roundtrip;

@@ -39,6 +39,12 @@ val interp_vs_sim : t
 (** Random program x random valid configuration: {!Minic.Interp}
     against {!Sim.Cpu} executing {!Minic.Codegen} output. *)
 
+val pricer_vs_sim : t
+(** Random program x random LEON2 configuration and x random lowered
+    MicroBlaze configuration, at 2..6 repetitions: {!Sim.Pricer.price}
+    on one recording against {!Sim.Machine.run}, comparing the whole
+    profile, cold and warm cycles and the checksum. *)
+
 val optimize_preserves : t
 (** [--O1]/[--O2] program against the unoptimized interpretation, both
     interpreted and compiled. *)

@@ -47,14 +47,12 @@ let of_config (c : Arch.Config.cache) ~rng =
    set/tag split is recomputed by callers from the same shifts (the
    simulator's hottest path; a returned tuple here measurably hurts
    multi-domain runs via minor-GC synchronization). *)
-let find_way t ~set ~tag =
-  let base = set * t.ways in
-  let rec find w =
-    if w = t.ways then -1
-    else if t.valid.(base + w) && t.tags.(base + w) = tag then w
-    else find (w + 1)
-  in
-  find 0
+let rec find_from t base tag w =
+  if w = t.ways then -1
+  else if t.valid.(base + w) && t.tags.(base + w) = tag then w
+  else find_from t base tag (w + 1)
+
+let find_way t ~set ~tag = find_from t (set * t.ways) tag 0
 
 let fill t ~set ~tag =
   let base = set * t.ways in
@@ -119,3 +117,4 @@ let clear t =
 
 let line_bytes t = t.line_bytes
 let sets t = t.sets
+let ways t = t.ways

@@ -43,3 +43,5 @@ val clear : t -> unit
 val line_bytes : t -> int
 val sets : t -> int
 (** Number of line indices per way. *)
+
+val ways : t -> int

@@ -30,6 +30,13 @@
      and cwp in 0..nwin-1, where cwp*16 + (r-8) < 2*(nwin*16). *)
 
 exception Error of string
+exception Budget_exhausted of int
+
+let () =
+  Printexc.register_printer (function
+    | Budget_exhausted n ->
+        Some (Printf.sprintf "instruction budget of %d exhausted" n)
+    | _ -> None)
 
 let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
@@ -63,7 +70,7 @@ type t = {
   mutable istats : Cache.stats;
   mutable dstats : Cache.stats;
   prof : Profiler.t;
-  mutable on_read : int -> unit;
+  mutable decoded : Decode.insn array;
   mutable handlers : (unit -> unit) array;
 }
 
@@ -157,8 +164,6 @@ let[@inline] dstore_probe t addr =
   let line = addr lsr t.dshift in
   if line = t.dlast then t.dstats.Cache.writes <- t.dstats.Cache.writes + 1
   else if Cache.write t.dcache addr then t.dlast <- line
-
-let observe_read t addr = t.on_read addr
 
 (* Register-window spill/fill.  The 16 locals+ins of window [w] live in
    the 64-byte save area at that window's %sp, as laid out by the
@@ -313,7 +318,6 @@ let compile t idx (d : Decode.insn) =
           (rread t rs1 + if rs2 >= 0 then rread t rs2 else imm) land mask32
         in
         count_load t;
-        observe_read t addr;
         let raw =
           match width with
           | Isa.Insn.Byte -> Memory.read_u8 t.mem addr
@@ -450,6 +454,61 @@ let compile t idx (d : Decode.insn) =
         t.halted <- true;
         commit t fall c
 
+(* Recording handler: the ordinary handler of the instruction, wrapped
+   with the configuration-invariant facts {!Pricer} needs.  Effective
+   addresses are read before the wrapped handler runs (it may overwrite
+   its base register); control decisions, window events and [%sp]/[%fp]
+   values after.  A separate compile, so the ordinary handlers carry no
+   recording hook. *)
+let recording t rc idx (d : Decode.insn) =
+  let h = compile t idx d in
+  let rd = d.Decode.rd in
+  let rs1 = d.Decode.rs1 in
+  let rs2 = d.Decode.rs2 in
+  let imm = d.Decode.imm in
+  let ea () = (rread t rs1 + if rs2 >= 0 then rread t rs2 else imm) land mask32 in
+  let sp_write () =
+    if rd = Isa.Reg.sp then Tape.set_sp rc (rread t rd)
+    else if rd = Isa.Reg.fp then Tape.set_fp rc (rread t rd)
+  in
+  match d.Decode.op with
+  | Decode.Load _ ->
+      fun () ->
+        Tape.load rc (ea ());
+        h ();
+        sp_write ()
+  | Decode.Store _ ->
+      fun () ->
+        Tape.store rc (ea ());
+        h ()
+  | Decode.Branch cond when cond <> Isa.Insn.Always ->
+      fun () ->
+        if t.prev_set_icc then Tape.icc_pair rc;
+        h ();
+        Tape.branch rc (t.pc <> idx + 1)
+  | Decode.Jmpl ->
+      fun () ->
+        h ();
+        Tape.jump rc t.pc;
+        sp_write ()
+  | Decode.Save ->
+      fun () ->
+        h ();
+        Tape.save rc ~sp:(rread t Isa.Reg.sp);
+        if rd = Isa.Reg.fp then Tape.set_fp rc (rread t rd)
+  | Decode.Restore ->
+      fun () ->
+        h ();
+        let below = Tape.restore rc in
+        if rd = Isa.Reg.sp then Tape.set_sp rc (rread t rd);
+        if below || rd = Isa.Reg.fp then Tape.set_fp rc (rread t Isa.Reg.fp)
+  | (Decode.Alu _ | Decode.Sethi | Decode.Mul _ | Decode.Div _)
+    when rd = Isa.Reg.sp || rd = Isa.Reg.fp ->
+      fun () ->
+        h ();
+        sp_write ()
+  | _ -> h
+
 let log2 n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
   go 0
@@ -492,11 +551,12 @@ let create ?(shift_stall = 0) config prog ~mem_size =
       istats = Cache.stats icache;
       dstats = Cache.stats dcache;
       prof = Profiler.create ();
-      on_read = ignore;
+      decoded = [||];
       handlers = [||];
     }
   in
-  t.handlers <- Array.mapi (compile t) (Decode.of_program cm prog);
+  t.decoded <- Decode.of_program cm prog;
+  t.handlers <- Array.mapi (compile t) t.decoded;
   Memory.load_image t.mem ~at:Isa.Program.data_base prog.Isa.Program.data;
   let sp = mem_size - 128 in
   t.regs.(Isa.Reg.physical ~nwindows:t.nwin ~cwp:0 Isa.Reg.sp) <- sp;
@@ -555,7 +615,10 @@ let reconfigure ?(shift_stall = 0) ?(keep_caches = false) t config =
   t.dshift <- log2 (Cache.line_bytes dcache);
   t.ilast <- -1;
   t.dlast <- -1;
-  t.handlers <- Array.mapi (compile t) (Decode.of_program t.cm t.prog)
+  t.decoded <- Decode.of_program t.cm t.prog;
+  t.handlers <- Array.mapi (compile t) t.decoded
+
+let record_into t rc = t.handlers <- Array.mapi (recording t rc) t.decoded
 
 let step t =
   if t.halted then false
@@ -572,7 +635,7 @@ let run ?(max_insns = 200_000_000) t =
   let budget = ref max_insns in
   let continue = ref (not t.halted) in
   while !continue do
-    if !budget <= 0 then error "instruction budget exhausted";
+    if !budget <= 0 then raise (Budget_exhausted max_insns);
     decr budget;
     continue := step t
   done
@@ -594,5 +657,3 @@ let mem t = t.mem
 let program t = t.prog
 let icache t = t.icache
 let dcache t = t.dcache
-
-let on_data_read t f = t.on_read <- f

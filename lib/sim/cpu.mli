@@ -22,8 +22,12 @@
 type t
 
 exception Error of string
-(** Raised on malformed execution: bad program counter, division by
-    zero, memory faults, or exceeding the step budget. *)
+(** Raised on malformed execution: bad program counter or division by
+    zero. *)
+
+exception Budget_exhausted of int
+(** [Budget_exhausted max_insns]: the run retired its whole instruction
+    budget without reaching [Halt]. *)
 
 val create : ?shift_stall:int -> Arch.Config.t -> Isa.Program.t -> mem_size:int -> t
 (** Builds a machine, loads the program's data image and points the
@@ -54,7 +58,8 @@ val step : t -> bool
 (** Execute one instruction; [false] once halted. *)
 
 val run : ?max_insns:int -> t -> unit
-(** Run to [Halt].  @raise Error if the budget (default 2e8) runs out. *)
+(** Run to [Halt].
+    @raise Budget_exhausted if the budget (default 2e8) runs out. *)
 
 val run_until : t -> insns:int -> unit
 (** Run until the profiler's total retired-instruction count reaches
@@ -67,10 +72,12 @@ val result : t -> int
 (** Value of %o0 in the current window — by convention the program's
     checksum at [Halt]. *)
 
-val on_data_read : t -> (int -> unit) -> unit
-(** Install an observer called with the byte address of every data read
-    (loads and window-fill reads) — used for address-trace capture,
-    e.g. by {!Stackdist}. *)
+val record_into : t -> Tape.recorder -> unit
+(** Recompile every handler to also append the instruction's
+    configuration-invariant effects to the recorder (see {!Tape}): a
+    separate compile, so ordinary handlers pay nothing for it.
+    Execution, timing and the profile are unchanged.  {!reconfigure}
+    returns to the ordinary handlers. *)
 
 val read_reg : t -> Isa.Reg.t -> int
 val write_reg : t -> Isa.Reg.t -> int -> unit

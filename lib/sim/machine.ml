@@ -246,14 +246,3 @@ let run_segmented ?mem_size ?reps ?(shift_stall = 0) ~boundaries config prog =
       boundaries
   in
   run_phased ?mem_size ?reps ~shift_stall ~switches config prog
-
-let trace_reads ?(mem_size = default_mem_size) config prog =
-  let cpu = Cpu.create config prog ~mem_size in
-  let buf = Buffer.create (1 lsl 16) in
-  Cpu.on_data_read cpu (fun addr ->
-      Buffer.add_int32_le buf (Int32.of_int addr));
-  Cpu.run cpu;
-  let n = Buffer.length buf / 4 in
-  let bytes = Buffer.to_bytes buf in
-  Array.init n (fun k ->
-      Int32.to_int (Bytes.get_int32_le bytes (4 * k)) land 0xFFFFFFFF)

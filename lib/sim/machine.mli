@@ -16,6 +16,13 @@ type result = {
   checksum : int;         (** %o0 at halt; equal across executions *)
 }
 
+val default_mem_size : int
+(** Memory of a simulated machine when [?mem_size] is omitted: 1 MiB. *)
+
+val flush_profile : Profiler.t -> unit
+(** Add a finished run's profile to the [sim.*] metrics counters and
+    count it in [sim.runs]; every whole run does this once. *)
+
 val clock_hz : float
 (** Nominal processor clock used to convert cycles to the paper's
     seconds scale (LEON2 on a VirtexE ran at 25 MHz). *)
@@ -30,6 +37,7 @@ val run :
 (** [shift_stall] is forwarded to {!Cpu.create} (default 0: barrel
     shifter present, as on LEON2).
     @raise Cpu.Error on execution errors
+    @raise Cpu.Budget_exhausted if an epoch runs out of instructions
     @raise Failure if cold and warm checksums disagree. *)
 
 val seconds : result -> float
@@ -97,7 +105,3 @@ val run_segmented :
 
 val run_once : ?mem_size:int -> Arch.Config.t -> Isa.Program.t -> Cpu.t
 (** Single cold execution, returning the machine for inspection. *)
-
-val trace_reads : ?mem_size:int -> Arch.Config.t -> Isa.Program.t -> int array
-(** One cold execution, returning the byte addresses of all data reads
-    in order — input for {!Stackdist} miss-rate-curve prediction. *)

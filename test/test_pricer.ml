@@ -1,0 +1,412 @@
+(* Sim.Pricer against the full simulator: every priced result must be
+   bit-identical to Machine.run, and the DSE engine must see the same
+   work counters on either path. *)
+
+let result =
+  Alcotest.testable
+    (fun ppf (r : Sim.Machine.result) ->
+      Fmt.pf ppf "@[<v>checksum %d, cold %d, warm %d@,%a@]"
+        r.Sim.Machine.checksum r.Sim.Machine.cold_cycles r.Sim.Machine.warm_cycles
+        Sim.Profiler.pp r.Sim.Machine.profile)
+    ( = )
+
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) name
+
+let deltas names f =
+  let before = List.map counter names in
+  f ();
+  List.map2 (fun n b -> (n, counter n - b)) names before
+
+(* Priced and simulated runs of [prog] agree on [config]. *)
+let check_config ?(reps = 3) ?(shift_stall = 0) ~what trace prog config =
+  Alcotest.check result what
+    (Sim.Machine.run ~reps ~shift_stall config prog)
+    (Sim.Pricer.price ~reps ~shift_stall trace config)
+
+(* --- every Measure.build configuration of both targets ------------- *)
+
+(* The configurations Measure.build evaluates, lowered to the simulator
+   (configuration, shift stall) pair the target's probe runs. *)
+let measured (type c) (module T : Dse.Target.S with type config = c)
+    (lower : c -> Arch.Config.t * int) =
+  T.base
+  :: List.concat_map
+       (fun (v : T.var) ->
+         let r = T.reference_config v in
+         [ v.T.apply r; r ])
+       T.vars
+  |> List.sort_uniq compare |> List.map lower
+
+let targets =
+  [
+    ("leon2", measured (module Dse.Target_leon2) (fun c -> (c, 0)));
+    ( "microblaze",
+      measured
+        (module Dse.Target_microblaze)
+        (fun c ->
+          (Dse.Target_microblaze.lower c, Dse.Target_microblaze.shift_stall c)) );
+  ]
+
+let test_measure_configs (app : Apps.Registry.t) () =
+  let prog = Lazy.force app.Apps.Registry.program in
+  let trace = Sim.Pricer.record prog in
+  List.iter
+    (fun (target, configs) ->
+      List.iteri
+        (fun k (config, shift_stall) ->
+          check_config ~reps:app.Apps.Registry.reps ~shift_stall
+            ~what:(Printf.sprintf "%s %s config %d" app.Apps.Registry.name target k)
+            trace prog config)
+        configs)
+    targets
+
+(* The probes themselves: whole-run evaluation goes through the pricer,
+   and agrees with the simulator-backed [run_app]. *)
+let test_probe_wiring () =
+  let app = Apps.Extra.qsort in
+  List.iter
+    (fun (module T : Dse.Target.S) ->
+      let seconds, profile = T.probe.Dse.Target.simulate app T.base in
+      let r = T.run_app ~config:T.base app in
+      Alcotest.(check (float 0.0)) (T.name ^ " seconds") (Sim.Machine.seconds r) seconds;
+      Alcotest.(check bool) (T.name ^ " profile") true (profile = r.Sim.Machine.profile))
+    Dse.Targets.all
+
+(* --- register windows ---------------------------------------------- *)
+
+let o n = Isa.Reg.o n
+let alu ?(cc = false) op rd rs1 op2 = Isa.Insn.Alu { op; cc; rd; rs1; op2 }
+
+(* f(n) = n + f(n - 1), f(0) = 0, called with n = 40: 41 frames deep.
+   Each frame allocates 64 bytes by moving %sp outside a save and
+   stores n there.  A frame's only load reads one global after its call
+   returns, so it is the last data access before the frame's restore
+   and the first after the callee's: an underflow fill that evicts the
+   global's line must end the same-line fast path.  The entry frame
+   then returns twice past itself: the first fill loads the frame
+   pointer that places the second frame's save area. *)
+let deep_recursion () =
+  let a = Isa.Asm.create () in
+  let sp = Isa.Reg.sp and l0 = Isa.Reg.l 0 and l1 = Isa.Reg.l 1 in
+  let g2 = Isa.Reg.g 2 in
+  let global = Isa.Asm.data_words a ~name:"global" [| 7 |] in
+  let load rd rs1 off =
+    Isa.Insn.Load { width = Isa.Insn.Word; signed = false; rd; rs1; op2 = Isa.Insn.Imm off }
+  in
+  let store rs rs1 off =
+    Isa.Insn.Store { width = Isa.Insn.Word; rs; rs1; op2 = Isa.Insn.Imm off }
+  in
+  let restore =
+    Isa.Insn.Restore { rd = Isa.Reg.g0; rs1 = Isa.Reg.g0; op2 = Isa.Insn.Reg Isa.Reg.g0 }
+  in
+  Isa.Asm.set32 a global g2;
+  Isa.Asm.set32 a 40 (o 0);
+  Isa.Asm.call a "f";
+  (* frame -1's save area is at %fp = 0: its %i0 (offset 32) becomes
+     the checksum, its %i6 (offset 56) frame -2's save area *)
+  Isa.Asm.emit a (store (o 0) Isa.Reg.g0 32);
+  Isa.Asm.set32 a 0x2000 (o 2);
+  Isa.Asm.emit a (store (o 2) Isa.Reg.g0 56);
+  Isa.Asm.emit a restore;
+  Isa.Asm.emit a restore;
+  Isa.Asm.emit a Isa.Insn.Halt;
+  Isa.Asm.label a "f";
+  Isa.Asm.emit a (Isa.Insn.Save { rd = sp; rs1 = sp; op2 = Isa.Insn.Imm (-96) });
+  Isa.Asm.emit a (alu Isa.Insn.Add sp sp (Isa.Insn.Imm (-64)));
+  Isa.Asm.emit a (store (Isa.Reg.i 0) sp 64);
+  Isa.Asm.mov a (Isa.Insn.Reg (Isa.Reg.i 0)) l0;
+  Isa.Asm.emit a (alu ~cc:true Isa.Insn.Sub (o 0) (Isa.Reg.i 0) (Isa.Insn.Imm 1));
+  Isa.Asm.bcc a Isa.Insn.Lt "base";
+  Isa.Asm.call a "f";
+  Isa.Asm.ba a "join";
+  Isa.Asm.label a "base";
+  Isa.Asm.mov a (Isa.Insn.Imm 0) (o 0);
+  Isa.Asm.label a "join";
+  Isa.Asm.emit a (load l1 g2 0);
+  Isa.Asm.emit a (alu Isa.Insn.Add (Isa.Reg.i 0) (o 0) (Isa.Insn.Reg l0));
+  Isa.Asm.emit a (alu Isa.Insn.Add sp sp (Isa.Insn.Imm 64));
+  Isa.Asm.emit a restore;
+  Isa.Asm.ret a;
+  Isa.Asm.finish a ~entry:0
+
+let with_windows n (c : Arch.Config.t) =
+  { c with Arch.Config.iu = { c.Arch.Config.iu with Arch.Config.reg_windows = n } }
+
+let small_dcache (c : Arch.Config.t) =
+  {
+    c with
+    Arch.Config.dcache =
+      { Arch.Config.ways = 2; way_kb = 1; line_words = 4; replacement = Arch.Config.Lru };
+  }
+
+let tiny_dcache (c : Arch.Config.t) =
+  {
+    c with
+    Arch.Config.dcache =
+      { Arch.Config.ways = 1; way_kb = 1; line_words = 4; replacement = Arch.Config.Random };
+  }
+
+let test_windows () =
+  let prog = deep_recursion () in
+  let trace = Sim.Pricer.record prog in
+  List.iter
+    (fun (label, nwin, config) ->
+      let config = with_windows nwin config in
+      let r = Sim.Machine.run ~reps:3 config prog in
+      Alcotest.(check int) "checksum" (40 * 41 / 2) r.Sim.Machine.checksum;
+      if nwin < 41 then
+        Alcotest.(check bool) "traps" true
+          (r.Sim.Machine.profile.Sim.Profiler.window_overflows > 0);
+      check_config ~what:label trace prog config)
+    [
+      ("nwin 8", 8, Arch.Config.base);
+      ("nwin 16", 16, Arch.Config.base);
+      ("nwin 32", 32, Arch.Config.base);
+      ("nwin 8, small dcache", 8, small_dcache Arch.Config.base);
+      ("nwin 32, small dcache", 32, small_dcache Arch.Config.base);
+      ("nwin 8, 1 KB direct-mapped dcache", 8, tiny_dcache Arch.Config.base);
+      ("nwin 16, 1 KB direct-mapped dcache", 16, tiny_dcache Arch.Config.base);
+    ]
+
+(* --- replacement policies on both caches --------------------------- *)
+
+let test_replacement () =
+  let prog = Lazy.force Apps.Extra.qsort.Apps.Registry.program in
+  let trace = Sim.Pricer.record prog in
+  let cache replacement line_words = { Arch.Config.ways = 2; way_kb = 1; line_words; replacement } in
+  List.iter
+    (fun (label, replacement) ->
+      List.iter
+        (fun line_words ->
+          let c = cache replacement line_words in
+          let what side = Printf.sprintf "%s %s, %d-word lines" label side line_words in
+          check_config ~what:(what "icache") trace prog
+            { Arch.Config.base with Arch.Config.icache = c };
+          check_config ~what:(what "dcache") trace prog
+            { Arch.Config.base with Arch.Config.dcache = c })
+        [ 4; 8 ])
+    [ ("random", Arch.Config.Random); ("LRR", Arch.Config.Lrr); ("LRU", Arch.Config.Lru) ]
+
+(* A loop over 2.4 KB of straight-line code with inner forward
+   branches and a call: more than a 1 KB icache holds, so pricing must
+   walk the fetch stream instead of counting first fetches. *)
+let long_loop () =
+  let a = Isa.Asm.create () in
+  Isa.Asm.set32 a 30 (o 1);
+  Isa.Asm.label a "top";
+  for k = 1 to 300 do
+    Isa.Asm.emit a (alu ~cc:true Isa.Insn.And (o 2) (o 0) (Isa.Insn.Imm k));
+    let skip = Printf.sprintf "skip%d" k in
+    Isa.Asm.bcc a Isa.Insn.Eq skip;
+    Isa.Asm.emit a (alu Isa.Insn.Add (o 0) (o 0) (Isa.Insn.Imm k));
+    Isa.Asm.label a skip
+  done;
+  Isa.Asm.call a "g";
+  Isa.Asm.emit a (alu ~cc:true Isa.Insn.Sub (o 1) (o 1) (Isa.Insn.Imm 1));
+  Isa.Asm.bcc a Isa.Insn.Ne "top";
+  Isa.Asm.emit a Isa.Insn.Halt;
+  Isa.Asm.label a "g";
+  for k = 1 to 64 do
+    Isa.Asm.emit a (alu Isa.Insn.Xor (o 0) (o 0) (Isa.Insn.Imm k))
+  done;
+  Isa.Asm.ret a;
+  Isa.Asm.finish a ~entry:0
+
+let test_icache_walk () =
+  let prog = long_loop () in
+  let trace = Sim.Pricer.record prog in
+  List.iter
+    (fun (label, ways, replacement) ->
+      let config =
+        {
+          Arch.Config.base with
+          Arch.Config.icache =
+            { Arch.Config.ways; way_kb = 1; line_words = 4; replacement };
+        }
+      in
+      let replays =
+        List.assoc "sim.pricer.replays"
+          (deltas [ "sim.pricer.replays" ] (fun () ->
+               check_config ~what:label trace prog config))
+      in
+      Alcotest.(check bool) (label ^ ": walked") true (replays > 0))
+    [
+      ("1-way", 1, Arch.Config.Random);
+      ("2-way random", 2, Arch.Config.Random);
+      ("2-way LRR", 2, Arch.Config.Lrr);
+      ("2-way LRU", 2, Arch.Config.Lru);
+    ]
+
+(* --- tape encoding ------------------------------------------------- *)
+
+(* Enough events to fill several chunks, with large and negative address
+   steps, 32-bit values and branch bits in between. *)
+let tape_script =
+  List.init 60_000 (fun k ->
+      match k mod 6 with
+      | 0 -> `Load (k * 4 land 0xFFFFF)
+      | 1 -> `Store ((0xFFFFF - (k * 36)) land 0xFFFFC)
+      | 2 -> `Save (0xFFFFFFFF - k)
+      | 3 -> `Branch (k mod 4 = 3)
+      | 4 -> `Jump (k * 7)
+      | _ -> `Restore)
+
+let record_script ?like () =
+  let rc = Sim.Tape.recorder ?like () in
+  List.iter
+    (function
+      | `Load a -> Sim.Tape.load rc a
+      | `Store a -> Sim.Tape.store rc a
+      | `Save v -> Sim.Tape.save rc ~sp:v
+      | `Branch b -> Sim.Tape.branch rc b
+      | `Jump t -> Sim.Tape.jump rc t
+      | `Restore -> ignore (Sim.Tape.restore rc))
+    tape_script;
+  Sim.Tape.finish rc
+
+let test_tape_roundtrip () =
+  let tape = record_script () in
+  let events = Sim.Tape.reader tape.Sim.Tape.events in
+  let taken = Sim.Tape.reader tape.Sim.Tape.taken in
+  let targets = Sim.Tape.reader tape.Sim.Tape.targets in
+  let addr = ref 0 in
+  let event kind =
+    let v = Sim.Tape.varint events in
+    Alcotest.(check int) "event kind" kind (v land 7);
+    v lsr 3
+  in
+  let access kind =
+    addr := !addr + Sim.Tape.unzigzag (event kind);
+    !addr
+  in
+  List.iter
+    (function
+      | `Load a -> Alcotest.(check int) "load" a (access Sim.Tape.ev_load)
+      | `Store a -> Alcotest.(check int) "store" a (access Sim.Tape.ev_store)
+      | `Save v -> Alcotest.(check int) "save" v (event Sim.Tape.ev_save)
+      | `Branch b -> Alcotest.(check bool) "branch" b (Sim.Tape.bit taken)
+      | `Jump t -> Alcotest.(check int) "jump" t (Sim.Tape.varint targets)
+      | `Restore -> ignore (event Sim.Tape.ev_restore))
+    tape_script;
+  Alcotest.(check bool) "events consumed" true (Sim.Tape.at_end events);
+  Alcotest.(check bool) "targets consumed" true (Sim.Tape.at_end targets);
+  Alcotest.(check bool) "several chunks" true
+    (Array.length tape.Sim.Tape.events > 2);
+  let again = record_script ~like:tape () in
+  Alcotest.(check bool) "repeat recording equal" true (again = tape);
+  Array.iteri
+    (fun k chunk ->
+      Alcotest.(check bool)
+        (Printf.sprintf "event chunk %d shared" k)
+        true
+        (chunk == tape.Sim.Tape.events.(k)))
+    again.Sim.Tape.events
+
+(* --- failures ------------------------------------------------------ *)
+
+(* %o0 = %g1 + 1: deterministic unless something perturbs %g1. *)
+let g1_program () =
+  let a = Isa.Asm.create () in
+  Isa.Asm.emit a (alu Isa.Insn.Add (o 0) (Isa.Reg.g 1) (Isa.Insn.Imm 1));
+  Isa.Asm.emit a Isa.Insn.Halt;
+  Isa.Asm.finish a ~entry:0
+
+let test_nondeterministic () =
+  let reinit cpu =
+    Sim.Cpu.reinit cpu;
+    Sim.Cpu.write_reg cpu (Isa.Reg.g 1) 5
+  in
+  let trace = Sim.Pricer.record ~reinit (g1_program ()) in
+  Alcotest.(check int) "one epoch needs no second" 1
+    (Sim.Pricer.price ~reps:1 trace Arch.Config.base).Sim.Machine.checksum;
+  match Sim.Pricer.price ~reps:2 trace Arch.Config.base with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "diverging epochs priced without Failure"
+
+let spin () =
+  let a = Isa.Asm.create () in
+  Isa.Asm.label a "top";
+  Isa.Asm.ba a "top";
+  Isa.Asm.finish a ~entry:0
+
+let test_budget () =
+  List.iter
+    (fun (path, run) ->
+      match run (spin ()) with
+      | exception Sim.Cpu.Budget_exhausted n -> Alcotest.(check int) path 1000 n
+      | () -> Alcotest.failf "%s: budget not enforced" path)
+    [
+      ( "Cpu.run",
+        fun prog ->
+          Sim.Cpu.run ~max_insns:1000
+            (Sim.Cpu.create Arch.Config.base prog ~mem_size:(1 lsl 16)) );
+      ("Pricer.record", fun prog -> ignore (Sim.Pricer.record ~max_insns:1000 prog));
+    ]
+
+(* --- engine integration -------------------------------------------- *)
+
+let test_clear_rerecords () =
+  let engine = Dse.Engine.default () in
+  let app = Apps.Registry.frag in
+  let probe = Dse.Target_leon2.probe in
+  let eval c = ignore (Dse.Engine.eval_on engine probe app c) in
+  let records f = List.assoc "sim.pricer.records" (deltas [ "sim.pricer.records" ] f) in
+  Dse.Engine.clear engine;
+  Alcotest.(check int) "first evaluation records" 1
+    (records (fun () -> eval Arch.Config.base));
+  Alcotest.(check int) "later configurations reuse the trace" 0
+    (records (fun () -> eval (with_windows 16 Arch.Config.base)));
+  Dse.Engine.clear engine;
+  Alcotest.(check int) "a cleared engine records again" 1
+    (records (fun () -> eval Arch.Config.base))
+
+let test_work_counters () =
+  let app = Apps.Registry.frag in
+  let configs =
+    List.map fst (List.assoc "leon2" targets) |> List.filteri (fun k _ -> k < 12)
+  in
+  let counters = [ "dse.builds"; "sim.cycles"; "sim.runs"; "sim.instructions" ] in
+  let through probe =
+    let engine = Dse.Engine.create () in
+    deltas counters (fun () ->
+        List.iter (fun c -> ignore (Dse.Engine.eval_on engine probe app c)) configs)
+  in
+  let simulator =
+    {
+      Dse.Target_leon2.probe with
+      Dse.Target.simulate =
+        (fun app config ->
+          let r = Dse.Target_leon2.run_app ~config app in
+          (Sim.Machine.seconds r, r.Sim.Machine.profile));
+    }
+  in
+  Alcotest.(check (list (pair string int)))
+    "pricer deltas = simulator deltas" (through simulator)
+    (through Dse.Target_leon2.probe)
+
+let () =
+  Alcotest.run "pricer"
+    [
+      ( "bit-identity",
+        [
+          Alcotest.test_case "frag, every measured config" `Quick
+            (test_measure_configs Apps.Registry.frag);
+          Alcotest.test_case "qsort, every measured config" `Quick
+            (test_measure_configs Apps.Extra.qsort);
+          Alcotest.test_case "probe wiring" `Quick test_probe_wiring;
+          Alcotest.test_case "deep recursion and %sp writes" `Quick test_windows;
+          Alcotest.test_case "replacement policies" `Quick test_replacement;
+          Alcotest.test_case "icache walk" `Quick test_icache_walk;
+        ] );
+      ("tape", [ Alcotest.test_case "round trip and sharing" `Quick test_tape_roundtrip ]);
+      ( "failures",
+        [
+          Alcotest.test_case "non-deterministic epochs" `Quick test_nondeterministic;
+          Alcotest.test_case "typed budget error" `Quick test_budget;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "clear re-records" `Quick test_clear_rerecords;
+          Alcotest.test_case "work counters" `Quick test_work_counters;
+        ] );
+    ]

@@ -139,6 +139,26 @@ let test_single_set_fully_assoc () =
   check_bool "A survives" true (Sim.Cache.read c 0);
   check_bool "B was evicted" false (Sim.Cache.read c 1024)
 
+(* Naive fully-associative LRU reference: an explicit recency stack,
+   where an access misses when its line is absent or sits at stack
+   distance >= [lines]. *)
+let naive_lru_misses ~line_bytes ~lines trace =
+  let stack = ref [] in
+  let misses = ref 0 in
+  List.iter
+    (fun addr ->
+      let line = addr / line_bytes in
+      let rec depth k = function
+        | [] -> None
+        | l :: tl -> if l = line then Some k else depth (k + 1) tl
+      in
+      (match depth 0 !stack with
+      | Some d when d < lines -> ()
+      | _ -> incr misses);
+      stack := line :: List.filter (fun l -> l <> line) !stack)
+    trace;
+  !misses
+
 let test_single_set_lru_is_stackdist () =
   (* A single-set LRU cache of W ways is exactly the fully-associative
      LRU model that stack-distance analysis computes. *)
@@ -148,10 +168,8 @@ let test_single_set_lru_is_stackdist () =
        (fun (ways, addrs) ->
          let c = mk_cache ~ways ~way_kb:1 ~line_words:256 ~repl:Arch.Config.Lru () in
          List.iter (fun a -> ignore (Sim.Cache.read c a)) addrs;
-         let trace = Array.of_list addrs in
-         let sd = Sim.Stackdist.analyze ~line_bytes:1024 trace in
          (Sim.Cache.stats c).Sim.Cache.read_misses
-         = Sim.Stackdist.misses sd ~lines:ways))
+         = naive_lru_misses ~line_bytes:1024 ~lines:ways addrs))
 
 let test_direct_mapped_policy_irrelevant () =
   (* With one way the victim is forced, so every replacement policy
@@ -181,100 +199,6 @@ let test_associativity_vs_capacity () =
   ignore (Sim.Cache.read assoc 0);
   ignore (Sim.Cache.read assoc 2048);
   check_bool "2-way holds both" true (Sim.Cache.read assoc 0)
-
-(* --- Stack-distance analysis --- *)
-
-let test_stackdist_hand_trace () =
-  (* Lines (16-byte): A B A C B A  ->
-     distances: A inf, B inf, A 1 (B between), C inf, B 1 (C since
-     last B... A,C accessed after first B -> distance 2), A 2 (C,B). *)
-  let a = 0x000 and b = 0x010 and c = 0x020 in
-  let sd = Sim.Stackdist.analyze ~line_bytes:16 [| a; b; a; c; b; a |] in
-  check_int "accesses" 6 (Sim.Stackdist.accesses sd);
-  check_int "cold misses" 3 (Sim.Stackdist.cold_misses sd);
-  (* capacity 1 line: every non-consecutive reuse misses *)
-  check_int "capacity 1" 6 (Sim.Stackdist.misses sd ~lines:1);
-  (* capacity 2: hits only the distance-1 reuse (A at index 2) *)
-  check_int "capacity 2" 5 (Sim.Stackdist.misses sd ~lines:2);
-  (* capacity 3: all reuses hit *)
-  check_int "capacity 3" 3 (Sim.Stackdist.misses sd ~lines:3);
-  check_int "working set" 2 (Sim.Stackdist.max_distance sd)
-
-let test_stackdist_same_line () =
-  let sd = Sim.Stackdist.analyze ~line_bytes:16 [| 0; 4; 8; 12 |] in
-  check_int "one cold miss" 1 (Sim.Stackdist.cold_misses sd);
-  check_int "rest hit even in 1 line" 1 (Sim.Stackdist.misses sd ~lines:1)
-
-(* Naive fully-associative LRU reference. *)
-let naive_lru_misses ~line_bytes ~lines trace =
-  let stack = ref [] in
-  let misses = ref 0 in
-  Array.iter
-    (fun addr ->
-      let line = addr / line_bytes in
-      let rest = List.filter (fun l -> l <> line) !stack in
-      if not (List.mem line !stack) then begin
-        incr misses;
-        stack := line :: rest
-      end
-      else if List.length rest >= lines then begin
-        (* line was in the stack but beyond capacity: miss *)
-        let depth = ref 0 in
-        List.iteri (fun k l -> if l = line then depth := k) !stack;
-        if !depth >= lines then incr misses;
-        stack := line :: rest
-      end
-      else begin
-        let depth = ref 0 in
-        List.iteri (fun k l -> if l = line then depth := k) !stack;
-        if !depth >= lines then incr misses;
-        stack := line :: rest
-      end)
-    trace;
-  !misses
-
-let test_stackdist_vs_naive_lru () =
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~count:200 ~name:"stack distance = naive LRU misses"
-       QCheck.(pair (int_range 1 6) (list_of_size (QCheck.Gen.int_range 1 60) (int_bound 0x1FF)))
-       (fun (lines, addrs) ->
-         let trace = Array.of_list addrs in
-         let sd = Sim.Stackdist.analyze ~line_bytes:16 trace in
-         Sim.Stackdist.misses sd ~lines
-         = naive_lru_misses ~line_bytes:16 ~lines trace))
-
-let test_stackdist_monotone () =
-  let trace =
-    Array.init 500 (fun k -> (k * 37 mod 253) * 16)
-  in
-  let sd = Sim.Stackdist.analyze ~line_bytes:16 trace in
-  let prev = ref max_int in
-  List.iter
-    (fun lines ->
-      let m = Sim.Stackdist.misses sd ~lines in
-      check_bool "misses nonincreasing in capacity" true (m <= !prev);
-      prev := m)
-    [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ];
-  check_int "large cache leaves only cold misses"
-    (Sim.Stackdist.cold_misses sd)
-    (Sim.Stackdist.misses sd ~lines:1024)
-
-let test_trace_capture () =
-  (* Machine.trace_reads captures exactly the load addresses. *)
-  let a = Isa.Asm.create () in
-  let buf = Isa.Asm.data_words a ~name:"w" [| 1; 2; 3; 4 |] in
-  Isa.Asm.set32 a buf (Isa.Reg.o 1);
-  for k = 0 to 3 do
-    Isa.Asm.emit a
-      (Isa.Insn.Load { width = Isa.Insn.Word; signed = false; rd = Isa.Reg.o 0;
-                       rs1 = Isa.Reg.o 1; op2 = Isa.Insn.Imm (4 * k) })
-  done;
-  Isa.Asm.emit a Isa.Insn.Halt;
-  let p = Isa.Asm.finish a ~entry:0 in
-  let trace = Sim.Machine.trace_reads ~mem_size:(1 lsl 16) Arch.Config.base p in
-  Alcotest.(check (array int)) "trace"
-    [| buf; buf + 4; buf + 8; buf + 12 |]
-    trace
 
 (* --- CPU: assembly helpers --- *)
 
@@ -746,14 +670,6 @@ let () =
             test_direct_mapped_policy_irrelevant;
           Alcotest.test_case "associativity vs capacity" `Quick
             test_associativity_vs_capacity;
-        ] );
-      ( "stackdist",
-        [
-          Alcotest.test_case "hand trace" `Quick test_stackdist_hand_trace;
-          Alcotest.test_case "same line" `Quick test_stackdist_same_line;
-          Alcotest.test_case "vs naive LRU (qcheck)" `Quick test_stackdist_vs_naive_lru;
-          Alcotest.test_case "monotone" `Quick test_stackdist_monotone;
-          Alcotest.test_case "trace capture" `Quick test_trace_capture;
         ] );
       ( "cpu",
         [
