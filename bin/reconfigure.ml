@@ -36,13 +36,34 @@ let app_arg =
   in
   Arg.(required & opt (some app_conv) None & info [ "a"; "app" ] ~doc ~docv:"APP")
 
+(* A float that must be finite and within [lo, hi]: a NaN weight would
+   never beat the incumbent (the solver silently answers "change
+   nothing"), and an out-of-range noise amplitude predicts negative
+   resources.  Both are command-line errors instead. *)
+let bounded_float ~lo ~hi ~range =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v >= lo && v <= hi -> Ok v
+    | Some _ ->
+        Error (`Msg (Printf.sprintf "%S is not a finite number %s" s range))
+    | None -> Error (`Msg (Printf.sprintf "%S is not a number" s))
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let weight = bounded_float ~lo:0.0 ~hi:Float.infinity ~range:">= 0"
+
 let w1_arg =
-  let doc = "Weight of application runtime in the objective." in
-  Arg.(value & opt float 100.0 & info [ "w1" ] ~doc)
+  let doc =
+    "Weight of application runtime in the objective (finite, >= 0)."
+  in
+  Arg.(value & opt weight 100.0 & info [ "w1" ] ~doc)
 
 let w2_arg =
-  let doc = "Weight of chip resources (LUT%% + BRAM%%) in the objective." in
-  Arg.(value & opt float 1.0 & info [ "w2" ] ~doc)
+  let doc =
+    "Weight of chip resources (LUT%% + BRAM%%) in the objective (finite, \
+     >= 0)."
+  in
+  Arg.(value & opt weight 1.0 & info [ "w2" ] ~doc)
 
 let dims_arg =
   let doc =
@@ -66,10 +87,11 @@ let schedule_arg =
 
 let noise_arg =
   let doc =
-    "Synthesis measurement noise amplitude (fraction of the device, e.g. \
-     0.005); models place-and-route variance."
+    "Synthesis measurement noise amplitude (fraction of the device in [0, \
+     1], e.g. 0.005); models place-and-route variance."
   in
-  Arg.(value & opt (some float) None & info [ "noise" ] ~doc)
+  let amplitude = bounded_float ~lo:0.0 ~hi:1.0 ~range:"in [0, 1]" in
+  Arg.(value & opt (some amplitude) None & info [ "noise" ] ~doc)
 
 (* [-v]/[-vv] now belong to the shared logging term (Obs_cli); the
    model dump kept its own explicit flag. *)
@@ -245,8 +267,20 @@ let cmd =
          its actually-measured cost.";
     ]
   in
+  let exits =
+    [
+      Cmd.Exit.info Cmd.Exit.ok ~doc:"on success.";
+      Cmd.Exit.info Cmd.Exit.cli_error
+        ~doc:
+          "on command line errors: an unknown option, application or \
+           target, a weight that is not a finite number >= 0, or a noise \
+           amplitude that is not a finite number in [0, 1].";
+      Cmd.Exit.info Cmd.Exit.internal_error
+        ~doc:"on unexpected internal errors (bugs), reported on standard error.";
+    ]
+  in
   Cmd.v
-    (Cmd.info "reconfigure" ~version:"1.0.0" ~doc ~man)
+    (Cmd.info "reconfigure" ~version:"1.0.0" ~doc ~man ~exits)
     Term.(
       const run $ target_arg $ app_arg $ w1_arg $ w2_arg $ dims_arg
       $ exhaustive_arg $ schedule_arg $ noise_arg $ print_model_arg

@@ -332,10 +332,12 @@ let run_app = Apps.Registry.run
 let run_program ?mem_size config prog = Sim.Machine.run ?mem_size config prog
 
 let detect_phases ?options (app : Apps.Registry.t) =
-  Sim.Phase.detect ?options base (Lazy.force app.Apps.Registry.program)
+  Sim.Pricer.detect ?options base (Lazy.force app.Apps.Registry.program)
 
 let run_app_segmented ?(config = base) ~boundaries (app : Apps.Registry.t) =
-  Sim.Machine.run_segmented ~reps:app.Apps.Registry.reps ~boundaries config
+  Sim.Pricer.run_phased ~reps:app.Apps.Registry.reps
+    ~switches:(Sim.Machine.identity_switches ~boundaries config)
+    config
     (Lazy.force app.Apps.Registry.program)
 
 let run_app_phased ~schedule (app : Apps.Registry.t) =
@@ -356,7 +358,7 @@ let run_app_phased ~schedule (app : Apps.Registry.t) =
             :: switches c tl
       in
       let last = List.fold_left (fun _ (_, c) -> c) first rest in
-      Sim.Machine.run_phased ~reps:app.Apps.Registry.reps
+      Sim.Pricer.run_phased ~reps:app.Apps.Registry.reps
         ~keep_caches:keep_caches_on_switch
         ~wrap_cycles:(switch_cycles last first)
         ~switches:(switches first rest) first

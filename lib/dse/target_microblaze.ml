@@ -322,12 +322,14 @@ let run_app ?(config = base) (app : Apps.Registry.t) =
     (Lazy.force app.Apps.Registry.program)
 
 let detect_phases ?options (app : Apps.Registry.t) =
-  Sim.Phase.detect ?options ~shift_stall:(shift_stall base) (lower base)
+  Sim.Pricer.detect ?options ~shift_stall:(shift_stall base) (lower base)
     (Lazy.force app.Apps.Registry.program)
 
 let run_app_segmented ?(config = base) ~boundaries (app : Apps.Registry.t) =
-  Sim.Machine.run_segmented ~reps:app.Apps.Registry.reps
-    ~shift_stall:(shift_stall config) ~boundaries (lower config)
+  let shift_stall = shift_stall config and config = lower config in
+  Sim.Pricer.run_phased ~reps:app.Apps.Registry.reps ~shift_stall
+    ~switches:(Sim.Machine.identity_switches ~shift_stall ~boundaries config)
+    config
     (Lazy.force app.Apps.Registry.program)
 
 let run_app_phased ~schedule (app : Apps.Registry.t) =
@@ -348,7 +350,7 @@ let run_app_phased ~schedule (app : Apps.Registry.t) =
             :: switches c tl
       in
       let last = List.fold_left (fun _ (_, c) -> c) first rest in
-      Sim.Machine.run_phased ~reps:app.Apps.Registry.reps
+      Sim.Pricer.run_phased ~reps:app.Apps.Registry.reps
         ~shift_stall:(shift_stall first)
         ~keep_caches:keep_caches_on_switch
         ~wrap_cycles:(switch_cycles last first)

@@ -154,6 +154,195 @@ let pricer_vs_sim =
             ]);
     }
 
+(* Segment, phase and detection pricing against the full simulator.
+   One recording is priced through a random schedule: 1 to 4 boundaries
+   at random points of the cold epoch, sometimes one past the halt;
+   per-segment random LEON2 configurations sharing one window count and
+   per-segment lowered MicroBlaze ones (their shift stalls included);
+   segments that repeat their predecessor (a no-op switch) or keep its
+   caches under new IU parameters; cache retention on or off; random
+   switch and wrap charges; 2 to 6 repetitions.  The result must equal
+   Machine.run_phased record for record.  Priced phase detection at a
+   random window must equal the simulated detection on the first
+   segment's configuration. *)
+type segment_draw = Fresh | Same | Same_caches
+
+type phased_case = {
+  program : Minic.Ast.program;
+  cuts : int list;  (* boundaries, per mille of the cold epoch *)
+  past_halt : bool;  (* one more boundary past the halt *)
+  draws : segment_draw list;  (* per segment after the first *)
+  leon2 : Arch.Config.t list;  (* per segment, before the draws *)
+  mb : Arch.Mb_config.t list;
+  keep_caches : bool;
+  cycles : int list;  (* switch charge per boundary *)
+  wrap_cycles : int;
+  reps : int;
+  window : int;
+}
+
+let phased_case =
+  let open QCheck2.Gen in
+  let* program = Gen.program in
+  let* k = int_range 1 4 in
+  let* cuts = list_repeat k (int_range 0 1000) in
+  let* past_halt = bool in
+  let* draws =
+    list_repeat (k + 1) (frequencyl [ (4, Fresh); (1, Same); (1, Same_caches) ])
+  in
+  let* leon2 = list_repeat (k + 2) Gen.config in
+  let* mb = list_repeat (k + 2) Gen.mb_config in
+  let* keep_caches = bool in
+  let* cycles = list_repeat (k + 1) (int_range 0 5000) in
+  let* wrap_cycles = int_range 0 5000 in
+  let* reps = int_range 2 6 in
+  let* window = int_range 64 4096 in
+  return
+    {
+      program; cuts; past_halt; draws; leon2; mb; keep_caches; cycles;
+      wrap_cycles; reps; window;
+    }
+
+let print_phased_case c =
+  let draw = function Fresh -> "fresh" | Same -> "same" | Same_caches -> "same-caches" in
+  let ints l = String.concat " " (List.map string_of_int l) in
+  Printf.sprintf
+    "// cuts (per mille): %s%s\n// draws: %s\n%s%s// keep_caches: %b, cycles: %s, \
+     wrap: %d, reps: %d, window: %d\n%s"
+    (ints c.cuts)
+    (if c.past_halt then " + past the halt" else "")
+    (String.concat " " (List.map draw c.draws))
+    (String.concat ""
+       (List.map (fun x -> "// leon2: " ^ Gen.print_config x ^ "\n") c.leon2))
+    (String.concat ""
+       (List.map (fun x -> "// mb: " ^ Gen.print_mb_config x ^ "\n") c.mb))
+    c.keep_caches (ints c.cycles) c.wrap_cycles c.reps c.window
+    (Gen.print_program c.program)
+
+(* Applies the draws: segment [i + 1] repeats segment [i], keeps its
+   caches, or stays as drawn. *)
+let apply_draws draws ~caches configs =
+  match configs with
+  | [] -> []
+  | first :: rest ->
+      let rec go prev draws configs =
+        match (draws, configs) with
+        | d :: ds, c :: cs ->
+            let c =
+              match d with Fresh -> c | Same -> prev | Same_caches -> caches ~prev c
+            in
+            c :: go c ds cs
+        | _ -> []
+      in
+      first :: go first draws rest
+
+let phased_pricer_vs_sim =
+  T
+    {
+      name = "phased-pricer-vs-sim";
+      doc =
+        "Sim.Pricer on one recording reproduces Machine.run_phased record for \
+         record over random schedules, and Phase.detect at a random window";
+      gen = phased_case;
+      print = print_phased_case;
+      prop =
+        (fun c ->
+          checked c.program;
+          let prog = Minic.Codegen.compile c.program in
+          let trace = Sim.Pricer.record prog in
+          let total =
+            (Sim.Pricer.price trace Arch.Config.base).Sim.Machine.profile
+              .Sim.Profiler.instructions
+          in
+          let ats =
+            List.sort_uniq compare
+              (List.map (fun f -> max 1 (total * f / 1000)) c.cuts)
+            @ if c.past_halt then [ total + 1 + (c.window mod 7) ] else []
+          in
+          let nwin =
+            (List.hd c.leon2).Arch.Config.iu.Arch.Config.reg_windows
+          in
+          let leon2 =
+            apply_draws c.draws c.leon2 ~caches:(fun ~prev x ->
+                {
+                  x with
+                  Arch.Config.icache = prev.Arch.Config.icache;
+                  dcache = prev.Arch.Config.dcache;
+                })
+            |> List.map (fun (x : Arch.Config.t) ->
+                   ( { x with iu = { x.iu with Arch.Config.reg_windows = nwin } },
+                     0 ))
+          in
+          let mb =
+            apply_draws c.draws c.mb ~caches:(fun ~prev x ->
+                {
+                  x with
+                  Arch.Mb_config.icache = prev.Arch.Mb_config.icache;
+                  dcache = prev.Arch.Mb_config.dcache;
+                })
+            |> List.map (fun x ->
+                   ( Dse.Target_microblaze.lower x,
+                     Dse.Target_microblaze.shift_stall x ))
+          in
+          let check target = function
+            | [] -> true
+            | (first, stall) :: rest ->
+                let switches =
+                  List.mapi
+                    (fun i at ->
+                      let config, shift_stall = List.nth rest i in
+                      {
+                        Sim.Machine.at_insn = at;
+                        config;
+                        shift_stall;
+                        cycles = List.nth c.cycles i;
+                      })
+                    ats
+                in
+                let sim =
+                  Sim.Machine.run_phased ~reps:c.reps ~shift_stall:stall
+                    ~keep_caches:c.keep_caches ~wrap_cycles:c.wrap_cycles
+                    ~switches first prog
+                in
+                let priced =
+                  Sim.Pricer.price_phased ~reps:c.reps ~shift_stall:stall
+                    ~keep_caches:c.keep_caches ~wrap_cycles:c.wrap_cycles
+                    ~switches trace first
+                in
+                let pp ppf (ph : Sim.Machine.phased) =
+                  Fmt.pf ppf "switch cycles %d, cold %d, warm %d@ %a@ phases %a"
+                    ph.Sim.Machine.switch_cycles
+                    ph.Sim.Machine.result.Sim.Machine.cold_cycles
+                    ph.Sim.Machine.result.Sim.Machine.warm_cycles Sim.Profiler.pp
+                    ph.Sim.Machine.result.Sim.Machine.profile
+                    (Fmt.list Sim.Profiler.pp) ph.Sim.Machine.phase_profiles
+                in
+                (sim = priced
+                || T2.fail_reportf "%s at %s: priced@ %a@ simulated@ %a" target
+                     (String.concat "," (List.map string_of_int ats))
+                     pp priced pp sim)
+                &&
+                let options =
+                  {
+                    Sim.Phase.window = c.window;
+                    threshold = 0.1;
+                    min_windows = 1;
+                    max_phases = 8;
+                  }
+                in
+                let simulated = Sim.Phase.detect ~options ~shift_stall:stall first prog in
+                let priced =
+                  Sim.Phase.segment ~options
+                    (Sim.Pricer.windows ~shift_stall:stall trace first
+                       ~window:c.window)
+                in
+                simulated = priced
+                || T2.fail_reportf "%s detection: priced %a@ simulated %a" target
+                     Sim.Phase.pp priced Sim.Phase.pp simulated
+          in
+          check "leon2" leon2 && check "microblaze" mb);
+    }
+
 let optimize_preserves =
   T
     {
@@ -919,6 +1108,7 @@ let all =
   [
     interp_vs_sim;
     pricer_vs_sim;
+    phased_pricer_vs_sim;
     optimize_preserves;
     lint_sound;
     codec_roundtrip;

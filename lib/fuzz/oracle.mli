@@ -45,6 +45,16 @@ val pricer_vs_sim : t
     on one recording against {!Sim.Machine.run}, comparing the whole
     profile, cold and warm cycles and the checksum. *)
 
+val phased_pricer_vs_sim : t
+(** Random program x random schedule — 1..4 boundaries, sometimes one
+    past the halt; per-segment random LEON2 configurations sharing one
+    window count and lowered MicroBlaze ones with their shift stalls,
+    including no-op switches and switches that keep the caches; cache
+    retention on or off; random switch and wrap charges; 2..6
+    repetitions: {!Sim.Pricer.price_phased} on one recording against
+    {!Sim.Machine.run_phased}, record for record, plus priced against
+    simulated {!Sim.Phase} detection at a random window of 64..4096. *)
+
 val optimize_preserves : t
 (** [--O1]/[--O2] program against the unoptimized interpretation, both
     interpreted and compiled. *)

@@ -483,7 +483,6 @@ let recording t rc idx (d : Decode.insn) =
         h ()
   | Decode.Branch cond when cond <> Isa.Insn.Always ->
       fun () ->
-        if t.prev_set_icc then Tape.icc_pair rc;
         h ();
         Tape.branch rc (t.pc <> idx + 1)
   | Decode.Jmpl ->

@@ -239,10 +239,5 @@ let run_phased ?(mem_size = default_mem_size) ?(reps = 1) ?(shift_stall = 0)
     }
   end
 
-let run_segmented ?mem_size ?reps ?(shift_stall = 0) ~boundaries config prog =
-  let switches =
-    List.map
-      (fun b -> { at_insn = b; config; shift_stall; cycles = 0 })
-      boundaries
-  in
-  run_phased ?mem_size ?reps ~shift_stall ~switches config prog
+let identity_switches ?(shift_stall = 0) ~boundaries config =
+  List.map (fun b -> { at_insn = b; config; shift_stall; cycles = 0 }) boundaries

@@ -90,18 +90,13 @@ val run_phased :
     or a switch changes the register-window count.
     @raise Failure if cold and warm checksums disagree. *)
 
-val run_segmented :
-  ?mem_size:int ->
-  ?reps:int ->
-  ?shift_stall:int ->
-  boundaries:int list ->
-  Arch.Config.t ->
-  Isa.Program.t ->
-  phased
-(** Like {!run} on a single configuration, but additionally snapshots
-    the profile at each retired-instruction boundary: [result] is
-    bit-identical to {!run} and [phase_profiles] carves it into
-    per-phase deltas.  Used for per-phase measurement. *)
+val identity_switches :
+  ?shift_stall:int -> boundaries:int list -> Arch.Config.t -> switch list
+(** Free switches to [config] (with [shift_stall], default 0) at each
+    boundary.  A phased run that starts on the same configuration skips
+    them all, so its result is bit-identical to {!run} and its
+    [phase_profiles] carve that result into per-segment deltas: the
+    per-phase measurement. *)
 
 val run_once : ?mem_size:int -> Arch.Config.t -> Isa.Program.t -> Cpu.t
 (** Single cold execution, returning the machine for inspection. *)

@@ -1,13 +1,17 @@
 (* Program-phase detection over windowed profiler deltas.
 
-   The detector runs one cold execution of the application on a fixed
-   reference configuration and snapshots the profiler every [window]
-   retired instructions.  Each window yields a small feature vector
+   Detection carves one cold execution of the application on a fixed
+   reference configuration into windows of [window] retired
+   instructions.  Each window yields a small feature vector
    (instruction mix plus cache behavior); a phase boundary opens where
    a full window's features diverge from the running aggregate of the
-   current phase by more than [threshold] (L1 distance).  Everything
-   is integer-counter arithmetic over a deterministic simulation, so
-   detection is deterministic and independent of worker counts.
+   current phase by more than [threshold] (L1 distance).  [segment] is
+   that change-point fold over an array of per-window profiles, so it
+   exists once: production feeds it windows priced from a recording
+   ({!Pricer.detect}), and [detect] feeds it windows simulated by
+   [Cpu.run_until], the oracle.  Everything is integer-counter
+   arithmetic over a deterministic execution, so detection is
+   deterministic and independent of worker counts.
 
    Phases are architectural program behavior: the instruction stream
    is configuration-independent, so boundaries computed on the
@@ -52,70 +56,71 @@ let distance a b =
   Array.iteri (fun i x -> d := !d +. abs_float (x -. b.(i))) a;
   !d
 
-let detect ?(options = default_options) ?shift_stall ?(mem_size = 1 lsl 20)
-    config prog =
+let validate options =
   if options.window < 1 then invalid_arg "Phase.detect: window must be >= 1";
+  if not (Float.is_finite options.threshold && options.threshold >= 0.0) then
+    invalid_arg "Phase.detect: threshold must be finite and >= 0";
   if options.min_windows < 1 then
     invalid_arg "Phase.detect: min_windows must be >= 1";
   if options.max_phases < 1 then
-    invalid_arg "Phase.detect: max_phases must be >= 1";
-  let cpu = Cpu.create ?shift_stall config prog ~mem_size in
-  let prof = Cpu.profile cpu in
-  let closed = ref [] in
-  let nclosed = ref 0 in
-  (* open-phase state: start offset, profiler snapshot at phase start,
-     number of full windows accumulated so far *)
-  let phase_start = ref 0 in
-  let phase_snap = ref (Profiler.create ()) in
-  let phase_windows = ref 0 in
-  (* profiler snapshot at the start of the current window *)
-  let window_snap = ref (Profiler.create ()) in
-  let running = ref true in
-  while !running do
-    let wstart = prof.Profiler.instructions in
-    Cpu.run_until cpu ~insns:(wstart + options.window);
-    let retired = prof.Profiler.instructions - wstart in
-    if retired = 0 then running := false
-    else begin
-      let now = Profiler.copy prof in
+    invalid_arg "Phase.detect: max_phases must be >= 1"
+
+(* The change-point fold.  Open-phase state: start offset, aggregate
+   profile of the full windows accumulated so far, and their count. *)
+let segment ?(options = default_options) windows =
+  validate options;
+  let closed = ref [] and nclosed = ref 0 in
+  let phase_start = ref 0 and agg = ref (Profiler.create ()) in
+  let phase_windows = ref 0 and pos = ref 0 in
+  Array.iter
+    (fun (w : Profiler.t) ->
       (* a partial (final) window never opens a phase: its features
          are computed over too few instructions to be comparable *)
       let split =
-        retired = options.window
+        w.Profiler.instructions = options.window
         && !phase_windows >= options.min_windows
         && !nclosed + 2 <= options.max_phases
-        &&
-        let w = Profiler.sub now !window_snap in
-        let agg = Profiler.sub !window_snap !phase_snap in
-        distance (features w) (features agg) > options.threshold
+        && distance (features w) (features !agg) > options.threshold
       in
       if split then begin
         closed :=
-          {
-            start_insn = !phase_start;
-            end_insn = wstart;
-            profile = Profiler.sub !window_snap !phase_snap;
-          }
+          { start_insn = !phase_start; end_insn = !pos; profile = !agg }
           :: !closed;
         incr nclosed;
-        phase_start := wstart;
-        phase_snap := !window_snap;
+        phase_start := !pos;
+        agg := Profiler.copy w;
         phase_windows := 1
       end
-      else incr phase_windows;
-      window_snap := now;
+      else begin
+        agg := Profiler.add !agg w;
+        incr phase_windows
+      end;
+      pos := !pos + w.Profiler.instructions)
+    windows;
+  let final = { start_insn = !phase_start; end_insn = !pos; profile = !agg } in
+  { options; total_insns = !pos; phases = List.rev (final :: !closed) }
+
+(* The simulator-fed detection: one cold execution carved into windows
+   by [Cpu.run_until]. *)
+let detect ?(options = default_options) ?shift_stall ?(mem_size = 1 lsl 20)
+    config prog =
+  validate options;
+  let cpu = Cpu.create ?shift_stall config prog ~mem_size in
+  let prof = Cpu.profile cpu in
+  let windows = ref [] in
+  let snap = ref (Profiler.create ()) in
+  let running = ref true in
+  while !running do
+    Cpu.run_until cpu ~insns:(!snap.Profiler.instructions + options.window);
+    let now = Profiler.copy prof in
+    if now.Profiler.instructions = !snap.Profiler.instructions then running := false
+    else begin
+      windows := Profiler.sub now !snap :: !windows;
+      snap := now;
       if Cpu.halted cpu then running := false
     end
   done;
-  let total = prof.Profiler.instructions in
-  let final =
-    {
-      start_insn = !phase_start;
-      end_insn = total;
-      profile = Profiler.sub (Profiler.copy prof) !phase_snap;
-    }
-  in
-  { options; total_insns = total; phases = List.rev (final :: !closed) }
+  segment ~options (Array.of_list (List.rev !windows))
 
 let count t = List.length t.phases
 

@@ -4,9 +4,11 @@
     fixed-size windows of retired instructions; each window yields a
     feature vector (instruction mix + cache behavior) and a phase
     boundary opens where a window diverges from the running aggregate
-    of the current phase.  Detection is deterministic: it is integer
-    counter arithmetic over a deterministic simulation, independent of
-    worker counts.
+    of the current phase.  {!segment} is that change-point fold over
+    per-window profiles; {!Pricer.detect} feeds it windows priced from
+    a recording, {!detect} windows simulated on the full machine.
+    Detection is deterministic: it is integer counter arithmetic over a
+    deterministic execution, independent of worker counts.
 
     Phase boundaries are expressed in retired instructions, which are
     configuration-independent (the architectural instruction stream
@@ -33,6 +35,17 @@ type t = { options : options; total_insns : int; phases : phase list }
 (** Phases partition [0, total_insns) in order; there is always at
     least one phase. *)
 
+val validate : options -> unit
+(** @raise Invalid_argument unless [window], [min_windows] and
+    [max_phases] are at least 1 and [threshold] is finite and
+    non-negative. *)
+
+val segment : ?options:options -> Profiler.t array -> t
+(** The change-point fold over consecutive windows' profiles, each
+    holding [options.window] retired instructions except possibly the
+    last.  Phases partition the windows' instructions.
+    @raise Invalid_argument on nonsensical options. *)
+
 val detect :
   ?options:options ->
   ?shift_stall:int ->
@@ -40,7 +53,8 @@ val detect :
   Arch.Config.t ->
   Isa.Program.t ->
   t
-(** Run one cold execution and segment it.
+(** Simulate one cold execution, window by window, and {!segment} it:
+    the oracle for {!Pricer.detect}, which is bit-identical.
     @raise Invalid_argument on nonsensical options.
     @raise Cpu.Error on execution errors. *)
 

@@ -64,37 +64,48 @@ module Memo = struct
         Condition.broadcast t.ready)
 end
 
-(* What one epoch did, independent of the configuration: the tape, the
-   per-instruction counts it implies, and the dynamic totals the
-   handlers count. *)
-type epoch = {
-  tape : Tape.t;
+(* What one segment of an epoch executed, independent of the
+   configuration. *)
+type seg = {
   counts : int array;  (* executions per static instruction *)
-  instructions : int;
-  branches : int;
-  taken_branches : int;
-  mults : int;
-  divs : int;
-  loads : int;
-  stores : int;
-  checksum : int;
+  taken : int;  (* taken branches *)
+  icc_pairs : int;
+      (* conditional branches executed directly after a cc-setting
+         instruction *)
+  events : int;  (* load, store, save and restore events on the tape *)
 }
 
-(* Replay counts of one epoch on one dcache configuration and window
-   count. *)
-type dcounts = { read_misses : int; overflows : int; underflows : int }
+type epoch = { tape : Tape.t; whole : seg; instructions : int; checksum : int }
 
-type trace = {
+(* What the program text fixes. *)
+type text = {
   prog : Isa.Program.t;
   stops : int array;
       (* the first control transfer at or after each instruction: a run
          of sequential execution ends there *)
+  pairable : bool array;
+      (* a conditional branch whose textual predecessor sets the
+         condition codes *)
+}
+
+(* Replay counts of one segment on one dcache configuration and window
+   count. *)
+type dcounts = { read_misses : int; overflows : int; underflows : int }
+
+(* A cache plan: entry [g] is the configuration of a cache that starts
+   cold at segment [g], [None] when segment [g] keeps the cache of
+   segment [g - 1].  Entry 0 is never [None]. *)
+type plan = Arch.Config.cache option array
+
+type trace = {
+  text : text;
   mem_size : int;
   cold : epoch;
   warm : epoch;  (* physically [cold] when both epochs recorded alike *)
   resident_peak : int;  (* over both epochs, see {!Tape.t} *)
-  imemo : (Arch.Config.cache, int * int) Memo.t;
-  dmemo : (Arch.Config.cache * int, dcounts * dcounts) Memo.t;
+  splits : (int array, seg array) Memo.t;
+  imemo : (plan * int array, int array) Memo.t;
+  dmemo : (plan * int * int array, dcounts array) Memo.t;
 }
 
 let tape_bytes tr =
@@ -102,9 +113,10 @@ let tape_bytes tr =
   + if tr.warm == tr.cold then 0 else Tape.bytes tr.warm.tape
 
 (* ------------------------------------------------------------------ *)
-(* Recording                                                           *)
+(* Walking an epoch                                                    *)
 
-let stops code =
+let text_of (prog : Isa.Program.t) =
+  let code = prog.Isa.Program.code in
   let n = Array.length code in
   let stops = Array.make n (n - 1) in
   for i = n - 1 downto 0 do
@@ -113,72 +125,125 @@ let stops code =
         stops.(i) <- i
     | _ -> if i + 1 < n then stops.(i) <- stops.(i + 1)
   done;
-  stops
+  let pairable =
+    Array.mapi
+      (fun i insn ->
+        i > 0 && Isa.Insn.uses_icc insn && Isa.Insn.sets_icc code.(i - 1))
+      code
+  in
+  { prog; stops; pairable }
 
-(* Calls [f first stop] for every run the epoch executed in sequence,
-   from [first] through the control transfer at [stop]: the program
-   text fixes each run, the tape's control decisions the next one. *)
-let iter_runs (prog : Isa.Program.t) stops (tape : Tape.t) f =
-  let code = prog.Isa.Program.code in
+(* Walks the runs of sequential execution of one epoch — the program
+   text fixes each run, the tape's control decisions the next one — cut
+   at the strictly increasing retired-instruction [bounds].  Calls
+   [piece s first last] for each stretch of a run inside segment [s]
+   (the number of boundaries passed), and [branch s first stop taken]
+   for each branch [stop] closing a run entered at [first]. *)
+let iter_pieces text (tape : Tape.t) bounds ~piece ~branch =
+  let code = text.prog.Isa.Program.code in
+  let stops = text.stops in
   let taken = Tape.reader tape.Tape.taken in
   let targets = Tape.reader tape.Tape.targets in
-  let pc = ref prog.Isa.Program.entry in
+  let nb = Array.length bounds in
+  let seg = ref 0 and retired = ref 0 in
+  let pc = ref text.prog.Isa.Program.entry in
   let running = ref true in
   while !running do
-    let stop = stops.(!pc) in
-    f !pc stop;
+    let first = !pc in
+    let stop = stops.(first) in
+    let from = ref first in
+    (* a boundary inside the run cuts it: instructions before it belong
+       to the earlier segment *)
+    while !seg < nb && !retired + stop - !from >= bounds.(!seg) do
+      let cut = !from + bounds.(!seg) - !retired in
+      if cut > !from then piece !seg !from (cut - 1);
+      retired := bounds.(!seg);
+      from := cut;
+      incr seg
+    done;
+    piece !seg !from stop;
+    retired := !retired + stop - !from + 1;
     match code.(stop) with
-    | Isa.Insn.Branch { cond = Isa.Insn.Always; target } | Isa.Insn.Call { target }
-      ->
+    | Isa.Insn.Branch { cond = Isa.Insn.Always; target } ->
+        branch !seg first stop true;
         pc := target
     | Isa.Insn.Branch { target; _ } ->
-        pc := if Tape.bit taken then target else stop + 1
+        let t = Tape.bit taken in
+        branch !seg first stop t;
+        pc := if t then target else stop + 1
+    | Isa.Insn.Call { target } -> pc := target
     | Isa.Insn.Jmpl _ -> pc := Tape.varint targets
     | _ -> running := false
   done
 
-let counts prog stops tape =
-  let n = Array.length prog.Isa.Program.code in
+(* The segments of one epoch cut at [bounds]: calls [emit s seg] for
+   each of the [Array.length bounds + 1] segments in order.  A
+   conditional branch pairs with its predecessor only when the run
+   reached it sequentially: every control transfer clears the
+   condition-code hold, and a reconfiguration does not. *)
+let segments text tape bounds emit =
+  let code = text.prog.Isa.Program.code in
+  let n = Array.length code in
   let diff = Array.make (n + 1) 0 in
-  iter_runs prog stops tape (fun first stop ->
+  let taken = ref 0 and pairs = ref 0 and cur = ref 0 in
+  let close () =
+    let running = ref 0 and events = ref 0 in
+    let counts =
+      Array.init n (fun i ->
+          running := !running + diff.(i);
+          (match code.(i) with
+          | Isa.Insn.Load _ | Isa.Insn.Store _ | Isa.Insn.Save _
+          | Isa.Insn.Restore _ ->
+              events := !events + !running
+          | _ -> ());
+          !running)
+    in
+    emit !cur { counts; taken = !taken; icc_pairs = !pairs; events = !events };
+    Array.fill diff 0 (n + 1) 0;
+    taken := 0;
+    pairs := 0;
+    incr cur
+  in
+  iter_pieces text tape bounds
+    ~piece:(fun s first last ->
+      while !cur < s do
+        close ()
+      done;
       diff.(first) <- diff.(first) + 1;
-      diff.(stop + 1) <- diff.(stop + 1) - 1);
-  let running = ref 0 in
-  Array.init n (fun i ->
-      running := !running + diff.(i);
-      !running)
+      diff.(last + 1) <- diff.(last + 1) - 1)
+    ~branch:(fun _ first stop t ->
+      if t then incr taken;
+      if stop > first && text.pairable.(stop) then incr pairs);
+  while !cur <= Array.length bounds do
+    close ()
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Recording                                                           *)
 
 let record ?(mem_size = Machine.default_mem_size) ?max_insns
     ?(reinit = Cpu.reinit) prog =
-  let code = prog.Isa.Program.code in
   Obs.Span.with_span ~cat:"sim" "sim.record" @@ fun span ->
   Obs.Metrics.Counter.incr m_records;
   let cpu = Cpu.create Arch.Config.base prog ~mem_size in
-  let stops = stops code in
-  let executed counts pred =
-    let n = ref 0 in
-    Array.iteri (fun i insn -> if pred insn then n := !n + counts.(i)) code;
-    !n
-  in
+  let text = text_of prog in
   let epoch ?like () =
     let rc = Tape.recorder ?like () in
     Cpu.record_into cpu rc;
     Cpu.run ?max_insns cpu;
     let tape = Tape.finish rc in
-    let counts = counts prog stops tape in
+    let whole = ref None in
+    segments text tape [||] (fun _ s -> whole := Some s);
+    let whole = Option.get !whole in
     let p = Cpu.profile cpu in
-    if executed counts (fun _ -> true) <> p.Profiler.instructions then
-      failwith "Pricer.record: the tape does not reproduce the execution";
+    if
+      Array.fold_left ( + ) 0 whole.counts <> p.Profiler.instructions
+      || whole.taken <> p.Profiler.taken_branches
+    then failwith "Pricer.record: the tape does not reproduce the execution";
     {
       tape;
-      counts;
+      whole;
       instructions = p.Profiler.instructions;
-      branches = p.Profiler.branches;
-      taken_branches = p.Profiler.taken_branches;
-      mults = p.Profiler.mults;
-      divs = p.Profiler.divs;
-      loads = executed counts (function Isa.Insn.Load _ -> true | _ -> false);
-      stores = executed counts (function Isa.Insn.Store _ -> true | _ -> false);
       checksum = Cpu.result cpu;
     }
   in
@@ -189,13 +254,13 @@ let record ?(mem_size = Machine.default_mem_size) ?max_insns
   let warm = if warm = cold then cold else warm in
   let tr =
     {
-      prog;
-      stops;
+      text;
       mem_size;
       cold;
       warm;
       resident_peak =
         max cold.tape.Tape.resident_peak warm.tape.Tape.resident_peak;
+      splits = Memo.create ();
       imemo = Memo.create ();
       dmemo = Memo.create ();
     }
@@ -204,6 +269,32 @@ let record ?(mem_size = Machine.default_mem_size) ?max_insns
   Obs.Span.add_attr span "tape_bytes" (Obs.Json.Int (tape_bytes tr));
   tr
 
+(* Both epochs cut at [bounds]: the cold epoch's segments, then the
+   warm epoch's. *)
+let split tr bounds =
+  if bounds = [||] then [| tr.cold.whole; tr.warm.whole |]
+  else
+    Memo.find tr.splits bounds (fun () ->
+        let cut e =
+          let out = Array.make (Array.length bounds + 1) e.whole in
+          segments tr.text e.tape bounds (fun s seg -> out.(s) <- seg);
+          out
+        in
+        let cold = cut tr.cold in
+        Array.append cold (if tr.warm == tr.cold then cold else cut tr.warm))
+
+(* The load, store, save and restore events before each of [nb]
+   boundaries, from [events s], segment [s]'s count of them: each such
+   instruction puts exactly one event on the tape, so counting them
+   aligns the event stream with the instruction boundaries.  The
+   [%sp]/[%fp] events between them touch no cache and no trap counter,
+   so only their order matters. *)
+let event_cuts nb events =
+  let acc = ref 0 in
+  Array.init nb (fun s ->
+      acc := !acc + events s;
+      !acc)
+
 (* ------------------------------------------------------------------ *)
 (* Replays                                                             *)
 
@@ -211,67 +302,92 @@ let log2 n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
   go 0
 
-(* The icache sees only fetches.  The fetch stream is rebuilt from the
-   program text and the tape's control decisions: each run of
-   instructions up to the next control transfer fetches its lines in
-   order, and the transfer's recorded outcome (or [jmpl] target) picks
-   the next run.  Calling [Cache.read] only when the configured line
-   changes reproduces exactly the simulator's same-line fast path;
-   [last] carries into the warm epoch as the simulator's [ilast]
-   does. *)
-let walk_icache cache tr =
+let cache_of seed (c : Arch.Config.cache) = Cache.of_config c ~rng:(Rng.create ~seed)
+
+(* The segment after [g] where the plan starts a new cache. *)
+let chain_end (plan : plan) g =
+  let rec go k = if k < Array.length plan && plan.(k) = None then go (k + 1) else k in
+  go (g + 1)
+
+(* When no set of a cache ever holds more distinct fetched lines than it
+   has ways, no fill needs a victim, so every line misses exactly once,
+   on its first fetch, under any replacement policy (and Random never
+   draws).  The fetched lines follow from the instruction counts alone.
+   Misses per segment when that holds for every cache of the plan. *)
+let first_fetches text (plan : plan) (segs : seg array) =
+  let misses = Array.make (Array.length plan) 0 in
+  let n = Array.length text.prog.Isa.Program.code in
+  let rec chain g =
+    g >= Array.length plan
+    ||
+    let cache = cache_of 0x1CE (Option.get plan.(g)) in
+    let line_log2 = log2 (Cache.line_bytes cache) in
+    let sets = Cache.sets cache in
+    let fetched = Array.make (((4 * n) lsr line_log2) + 1) false in
+    let per_set = Array.make sets 0 in
+    let stop = chain_end plan g in
+    for k = g to stop - 1 do
+      Array.iteri
+        (fun i c ->
+          let l = (4 * i) lsr line_log2 in
+          if c > 0 && not fetched.(l) then begin
+            fetched.(l) <- true;
+            misses.(k) <- misses.(k) + 1;
+            per_set.(l land (sets - 1)) <- per_set.(l land (sets - 1)) + 1
+          end)
+        segs.(k).counts
+    done;
+    Array.for_all (fun c -> c <= Cache.ways cache) per_set && chain stop
+  in
+  if chain 0 then Some misses else None
+
+(* The icache sees only fetches.  Each piece of a run fetches its lines
+   in order; calling [Cache.read] only when the configured line changes
+   reproduces exactly the simulator's same-line fast path, and [last]
+   carries into the warm epoch as the simulator's [ilast] does.  A cache
+   the plan restarts begins with no last line.  [tapes] are the walked
+   epochs in order, each cut at [bounds]. *)
+let walk_icache text tapes ~bounds (plan : plan) =
   Obs.Metrics.Counter.incr m_replays;
-  let line_log2 = log2 (Cache.line_bytes cache) in
-  (* instruction index -> line: 4-byte instructions *)
-  let shift = line_log2 - 2 in
-  let stats = Cache.stats cache in
+  let misses = Array.make (Array.length plan) 0 in
+  let per_epoch = Array.length bounds + 1 in
+  let g = ref 0 in
+  let cache = ref (cache_of 0x1CE (Option.get plan.(0))) in
+  let line_log2 = ref (log2 (Cache.line_bytes !cache)) in
   let last = ref (-1) in
-  let epoch e =
-    let before = stats.Cache.read_misses in
-    iter_runs tr.prog tr.stops e.tape (fun first stop ->
-        for line = first lsr shift to stop lsr shift do
-          if line <> !last then begin
-            last := line;
-            ignore (Cache.read cache (line lsl line_log2))
-          end
-        done);
-    stats.Cache.read_misses - before
+  let enter k =
+    while !g < k do
+      incr g;
+      match plan.(!g) with
+      | Some c ->
+          cache := cache_of 0x1CE c;
+          line_log2 := log2 (Cache.line_bytes !cache);
+          last := -1
+      | None -> ()
+    done
   in
-  let cold = epoch tr.cold in
-  (cold, epoch tr.warm)
-
-(* When no set ever holds more distinct fetched lines than it has ways,
-   no fill needs a victim, so every line misses exactly once, on its
-   first fetch, under any replacement policy (and Random never draws).
-   The fetched lines follow from the instruction counts alone. *)
-let first_fetches cache tr =
-  let line_log2 = log2 (Cache.line_bytes cache) in
-  let sets = Cache.sets cache in
-  let lines = ((4 * Array.length tr.prog.Isa.Program.code) lsr line_log2) + 1 in
-  let fetched e =
-    let m = Array.make lines false in
-    Array.iteri
-      (fun i n -> if n > 0 then m.((4 * i) lsr line_log2) <- true)
-      e.counts;
-    m
-  in
-  let cold = fetched tr.cold and warm = fetched tr.warm in
-  let per_set = Array.make sets 0 in
-  let first_cold = ref 0 and first_warm = ref 0 in
-  for l = 0 to lines - 1 do
-    if cold.(l) then incr first_cold else if warm.(l) then incr first_warm;
-    if cold.(l) || warm.(l) then
-      per_set.(l land (sets - 1)) <- per_set.(l land (sets - 1)) + 1
-  done;
-  if Array.for_all (fun n -> n <= Cache.ways cache) per_set then
-    Some (!first_cold, !first_warm)
-  else None
-
-let replay_icache (c : Arch.Config.cache) tr =
-  let cache = Cache.of_config c ~rng:(Rng.create ~seed:0x1CE) in
-  match first_fetches cache tr with
-  | Some misses -> misses
-  | None -> walk_icache cache tr
+  List.iteri
+    (fun ep tape ->
+      let base = ep * per_epoch in
+      enter base;
+      iter_pieces text tape bounds
+        ~piece:(fun s first stop ->
+          let k = base + s in
+          if k <> !g then enter k;
+          let c = !cache and ll = !line_log2 in
+          (* instruction index -> line: 4-byte instructions *)
+          let shift = ll - 2 in
+          for line = first lsr shift to stop lsr shift do
+            if line <> !last then begin
+              last := line;
+              if not (Cache.read c (line lsl ll)) then
+                misses.(k) <- misses.(k) + 1
+            end
+          done)
+        ~branch:(fun _ _ _ _ -> ());
+      enter (base + per_epoch - 1))
+    tapes;
+  misses
 
 (* Each frame's [%sp] by call depth: 0 is the entry frame, negative
    depths are frames a program returns past.  Grows in both
@@ -296,156 +412,292 @@ let rec slot f d =
    windows; a save with [nwin - 1] resident spills the oldest frame at
    its [%sp], a restore with one resident fills the caller at its
    [%sp].  Both go through the plain cache entry points in
-   [spill_window]/[fill_window] order and invalidate [dlast]. *)
-let replay_dcache (c : Arch.Config.cache) ~nwin tr =
+   [spill_window]/[fill_window] order and invalidate [dlast].  The
+   window state is architectural, so it runs from each epoch's start
+   whatever the plan does to the cache.  [epochs] are the walked
+   epochs in order, each with its {!event_cuts}. *)
+let replay_dcache ~mem_size epochs ~nwin (plan : plan) =
   Obs.Metrics.Counter.incr m_replays;
-  let cache = Cache.of_config c ~rng:(Rng.create ~seed:0xDCE) in
-  let dshift = log2 (Cache.line_bytes cache) in
-  let stats = Cache.stats cache in
+  let nseg = Array.length plan in
+  let misses = Array.make nseg 0 in
+  let overflows = Array.make nseg 0 and underflows = Array.make nseg 0 in
+  let g = ref 0 in
+  let cache = ref (cache_of 0xDCE (Option.get plan.(0))) in
+  let dshift = ref (log2 (Cache.line_bytes !cache)) in
   let dlast = ref (-1) in
+  let enter k =
+    while !g < k do
+      incr g;
+      match plan.(!g) with
+      | Some c ->
+          cache := cache_of 0xDCE c;
+          dshift := log2 (Cache.line_bytes !cache);
+          dlast := -1
+      | None -> ()
+    done
+  in
+  let read addr =
+    if not (Cache.read !cache addr) then misses.(!g) <- misses.(!g) + 1
+  in
   let spill sp =
     for k = 0 to 7 do
-      ignore (Cache.write cache (sp + (4 * k)));
-      ignore (Cache.write cache (sp + 32 + (4 * k)))
+      ignore (Cache.write !cache (sp + (4 * k)));
+      ignore (Cache.write !cache (sp + 32 + (4 * k)))
     done;
     dlast := -1
   in
   let fill sp =
     for k = 0 to 7 do
-      ignore (Cache.read cache (sp + (4 * k)));
-      ignore (Cache.read cache (sp + 32 + (4 * k)))
+      read (sp + (4 * k));
+      read (sp + 32 + (4 * k))
     done;
     dlast := -1
   in
-  let epoch e =
-    let before = stats.Cache.read_misses in
-    let frames = { sps = Array.make 64 0; origin = 16 } in
-    frames.sps.(slot frames 0) <- tr.mem_size - 128;
-    let sp_of d = frames.sps.(slot frames d) in
-    let set_sp d v = frames.sps.(slot frames d) <- v in
-    let depth = ref 0 and resident = ref 1 in
-    let overflows = ref 0 and underflows = ref 0 in
-    let r = Tape.reader e.tape.Tape.events in
-    let addr = ref 0 in
-    while not (Tape.at_end r) do
-      let v = Tape.varint r in
-      let kind = v land 7 and payload = v lsr 3 in
-      if kind = Tape.ev_load then begin
-        addr := !addr + Tape.unzigzag payload;
-        let line = !addr lsr dshift in
-        if line <> !dlast then begin
-          dlast := line;
-          ignore (Cache.read cache !addr)
+  List.iteri
+    (fun ep ((tape : Tape.t), cuts) ->
+      let nb = Array.length cuts in
+      let base = ep * (nb + 1) in
+      enter base;
+      let frames = { sps = Array.make 64 0; origin = 16 } in
+      frames.sps.(slot frames 0) <- mem_size - 128;
+      let sp_of d = frames.sps.(slot frames d) in
+      let set_sp d v = frames.sps.(slot frames d) <- v in
+      let depth = ref 0 and resident = ref 1 in
+      (* [next]: the counted events before the next boundary *)
+      let seg = ref 0 and counted = ref 0 in
+      let next = ref (if nb > 0 then cuts.(0) else max_int) in
+      let advance () =
+        while !counted = !next do
+          incr seg;
+          enter (base + !seg);
+          next := if !seg < nb then cuts.(!seg) else max_int
+        done
+      in
+      let r = Tape.reader tape.Tape.events in
+      let addr = ref 0 in
+      while not (Tape.at_end r) do
+        let v = Tape.varint r in
+        let kind = v land 7 and payload = v lsr 3 in
+        if kind = Tape.ev_load then begin
+          if !counted = !next then advance ();
+          incr counted;
+          addr := !addr + Tape.unzigzag payload;
+          let line = !addr lsr !dshift in
+          if line <> !dlast then begin
+            dlast := line;
+            read !addr
+          end
         end
-      end
-      else if kind = Tape.ev_store then begin
-        addr := !addr + Tape.unzigzag payload;
-        let line = !addr lsr dshift in
-        if line <> !dlast && Cache.write cache !addr then dlast := line
-      end
-      else if kind = Tape.ev_restore then begin
-        if !resident = 1 then begin
-          incr underflows;
-          fill (sp_of (!depth - 1))
+        else if kind = Tape.ev_store then begin
+          if !counted = !next then advance ();
+          incr counted;
+          addr := !addr + Tape.unzigzag payload;
+          let line = !addr lsr !dshift in
+          if line <> !dlast && Cache.write !cache !addr then dlast := line
         end
-        else decr resident;
-        decr depth
-      end
-      else if kind = Tape.ev_save then begin
-        if !resident = nwin - 1 then begin
-          incr overflows;
-          spill (sp_of (!depth - !resident + 1))
+        else if kind = Tape.ev_set_sp then set_sp !depth payload
+        else if kind = Tape.ev_set_fp then set_sp (!depth - 1) payload
+        else begin
+          if !counted = !next then advance ();
+          incr counted;
+          if kind = Tape.ev_restore then begin
+            if !resident = 1 then begin
+              underflows.(!g) <- underflows.(!g) + 1;
+              fill (sp_of (!depth - 1))
+            end
+            else decr resident;
+            decr depth
+          end
+          else begin
+            if !resident = nwin - 1 then begin
+              overflows.(!g) <- overflows.(!g) + 1;
+              spill (sp_of (!depth - !resident + 1))
+            end
+            else incr resident;
+            incr depth;
+            set_sp !depth payload
+          end
         end
-        else incr resident;
-        incr depth;
-        set_sp !depth payload
-      end
-      else if kind = Tape.ev_set_sp then set_sp !depth payload
-      else set_sp (!depth - 1) payload
-    done;
-    {
-      read_misses = stats.Cache.read_misses - before;
-      overflows = !overflows;
-      underflows = !underflows;
-    }
-  in
-  let cold = epoch tr.cold in
-  (cold, epoch tr.warm)
+      done;
+      enter (base + nb))
+    epochs;
+  Array.init nseg (fun k ->
+      {
+        read_misses = misses.(k);
+        overflows = overflows.(k);
+        underflows = underflows.(k);
+      })
 
 (* ------------------------------------------------------------------ *)
 (* Pricing                                                             *)
 
-(* One epoch's profile: static prices times counts from the decoded
-   program, dynamic stalls from the replay counts — every charge the
-   execute handlers make, summed per class. *)
-let profile_of (cm : Cost_model.t) (dec : Decode.insn array) e ~imiss d =
-  let counts = e.counts in
-  let static = ref 0 and interlocks = ref 0 in
+(* One segment's profile before its cache and window charges: static
+   prices times counts from the decoded program — every charge the
+   execute handlers make that no replay decides. *)
+let static_profile (cm : Cost_model.t) (dec : Decode.insn array) (s : seg) =
+  let cycles = ref 0 and insns = ref 0 and interlocks = ref 0 in
+  let loads = ref 0 and stores = ref 0 and branches = ref 0 in
+  let mults = ref 0 and divs = ref 0 in
   Array.iteri
     (fun i (di : Decode.insn) ->
-      let n = counts.(i) in
+      let n = s.counts.(i) in
       if n > 0 then begin
-        static := !static + (n * di.Decode.base_cycles);
+        insns := !insns + n;
+        cycles := !cycles + (n * di.Decode.base_cycles);
         if di.Decode.interlock > 0 then begin
           interlocks := !interlocks + n;
-          static := !static + (n * di.Decode.interlock)
-        end
+          cycles := !cycles + (n * di.Decode.interlock)
+        end;
+        match di.Decode.op with
+        | Decode.Load _ -> loads := !loads + n
+        | Decode.Store _ -> stores := !stores + n
+        | Decode.Branch _ -> branches := !branches + n
+        | Decode.Mul _ -> mults := !mults + n
+        | Decode.Div _ -> divs := !divs + n
+        | _ -> ()
       end)
     dec;
-  let icc_holds = if cm.Cost_model.icc_stall > 0 then e.tape.Tape.icc_pairs else 0 in
-  let regs = Cost_model.window_regs in
-  let spill = Cost_model.trap_overhead + (regs * (1 + cm.Cost_model.store_extra)) in
-  let fill = Cost_model.trap_overhead + (regs * (1 + cm.Cost_model.load_extra)) in
+  let icc_holds = if cm.Cost_model.icc_stall > 0 then s.icc_pairs else 0 in
   let p = Profiler.create () in
-  p.Profiler.cycles <-
-    !static
-    + (e.taken_branches * Cost_model.taken_extra cm)
-    + icc_holds
-    + (imiss * cm.Cost_model.iline_fill)
-    + (d.read_misses * cm.Cost_model.dline_fill)
-    + (d.overflows * spill) + (d.underflows * fill);
-  p.Profiler.instructions <- e.instructions;
-  p.Profiler.icache_misses <- imiss;
-  p.Profiler.dcache_reads <- e.loads + (regs * d.underflows);
-  p.Profiler.dcache_read_misses <- d.read_misses;
-  p.Profiler.dcache_writes <- e.stores + (regs * d.overflows);
-  p.Profiler.branches <- e.branches;
-  p.Profiler.taken_branches <- e.taken_branches;
-  p.Profiler.mults <- e.mults;
-  p.Profiler.divs <- e.divs;
-  p.Profiler.window_overflows <- d.overflows;
-  p.Profiler.window_underflows <- d.underflows;
+  p.Profiler.cycles <- !cycles + (s.taken * Cost_model.taken_extra cm) + icc_holds;
+  p.Profiler.instructions <- !insns;
+  p.Profiler.dcache_reads <- !loads;
+  p.Profiler.dcache_writes <- !stores;
+  p.Profiler.branches <- !branches;
+  p.Profiler.taken_branches <- s.taken;
+  p.Profiler.mults <- !mults;
+  p.Profiler.divs <- !divs;
   p.Profiler.load_interlocks <- !interlocks;
   p.Profiler.icc_hold_stalls <- icc_holds;
   p
+
+(* Adds the line fills and window traps the replays counted. *)
+let add_replays (cm : Cost_model.t) (p : Profiler.t) ~imiss d =
+  let regs = Cost_model.window_regs in
+  let spill = Cost_model.trap_overhead + (regs * (1 + cm.Cost_model.store_extra)) in
+  let fill = Cost_model.trap_overhead + (regs * (1 + cm.Cost_model.load_extra)) in
+  p.Profiler.cycles <-
+    p.Profiler.cycles
+    + (imiss * cm.Cost_model.iline_fill)
+    + (d.read_misses * cm.Cost_model.dline_fill)
+    + (d.overflows * spill) + (d.underflows * fill);
+  p.Profiler.icache_misses <- imiss;
+  p.Profiler.dcache_reads <- p.Profiler.dcache_reads + (regs * d.underflows);
+  p.Profiler.dcache_read_misses <- d.read_misses;
+  p.Profiler.dcache_writes <- p.Profiler.dcache_writes + (regs * d.overflows);
+  p.Profiler.window_overflows <- d.overflows;
+  p.Profiler.window_underflows <- d.underflows
 
 let validate who config =
   match Arch.Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg (who ^ ": " ^ msg)
 
-let price ?(reps = 1) ?(shift_stall = 0) tr (config : Arch.Config.t) =
+let price_phased ?(reps = 1) ?(shift_stall = 0) ?(keep_caches = false)
+    ?(wrap_cycles = 0) ~switches tr (config : Arch.Config.t) =
   validate "Pricer.price" config;
-  Obs.Span.with_span ~cat:"sim" "sim.price" @@ fun span ->
-  let cm = Cost_model.of_arch_config ~shift_stall config in
-  let dec = Decode.of_program cm tr.prog in
-  let icache = config.Arch.Config.icache and dcache = config.Arch.Config.dcache in
   let nwin = config.Arch.Config.iu.Arch.Config.reg_windows in
+  ignore
+    (List.fold_left
+       (fun prev (sw : Machine.switch) ->
+         if sw.Machine.at_insn <= prev then
+           invalid_arg "Pricer.price: switch boundaries must be strictly increasing";
+         validate "Pricer.price" sw.Machine.config;
+         if sw.Machine.config.Arch.Config.iu.Arch.Config.reg_windows <> nwin then
+           invalid_arg
+             "Pricer.price: register-window count is not runtime-reconfigurable";
+         sw.Machine.at_insn)
+       0 switches);
+  Obs.Span.with_span ~cat:"sim" "sim.price" @@ fun span ->
+  let bounds = Array.of_list (List.map (fun sw -> sw.Machine.at_insn) switches) in
+  let per = Array.length bounds + 1 in
+  let segs = split tr bounds in
+  (* Segment [g] runs on [installed.(g)], pays [charge.(g)] switch
+     cycles at its start, and opens with a real switch when [real.(g)]:
+     the [Machine.phased_epoch] schedule, segments [per..] being the
+     warm epoch's, whose first pays the wrap charge. *)
+  let first = (config, shift_stall) in
+  let installed = Array.make (2 * per) first in
+  let charge = Array.make (2 * per) 0 and real = Array.make (2 * per) false in
+  List.iteri
+    (fun i (sw : Machine.switch) ->
+      let k = i + 1 in
+      let next = (sw.Machine.config, sw.Machine.shift_stall) in
+      if next <> installed.(k - 1) then begin
+        real.(k) <- true;
+        charge.(k) <- max 0 sw.Machine.cycles;
+        installed.(k) <- next
+      end
+      else installed.(k) <- installed.(k - 1))
+    switches;
+  Array.blit installed 0 installed per per;
+  Array.blit charge 0 charge per per;
+  Array.blit real 0 real per per;
+  real.(per) <- installed.(per - 1) <> first;
+  charge.(per) <- max 0 wrap_cycles;
+  (* a real switch restarts a cache cold unless the policy keeps it and
+     its geometry is unchanged *)
+  let plan sel =
+    Array.init (2 * per) (fun g ->
+        let c = sel (fst installed.(g)) in
+        if g = 0 then Some c
+        else if real.(g) && not (keep_caches && sel (fst installed.(g - 1)) = c)
+        then Some c
+        else None)
+  in
+  let iplan = plan (fun c -> c.Arch.Config.icache) in
+  let dplan = plan (fun c -> c.Arch.Config.dcache) in
+  let imiss =
+    Memo.find tr.imemo (iplan, bounds) (fun () ->
+        match first_fetches tr.text iplan segs with
+        | Some misses -> misses
+        | None -> walk_icache tr.text [ tr.cold.tape; tr.warm.tape ] ~bounds iplan)
+  in
   (* every window count that never overflows replays alike *)
   let nwin_class = min nwin (tr.resident_peak + 2) in
-  let icold, iwarm = Memo.find tr.imemo icache (fun () -> replay_icache icache tr) in
-  let dcold, dwarm =
-    Memo.find tr.dmemo (dcache, nwin_class) (fun () ->
-        replay_dcache dcache ~nwin tr)
+  let dcounts =
+    Memo.find tr.dmemo (dplan, nwin_class, bounds) (fun () ->
+        replay_dcache ~mem_size:tr.mem_size
+          [
+            (tr.cold.tape, event_cuts (per - 1) (fun s -> segs.(s).events));
+            (tr.warm.tape, event_cuts (per - 1) (fun s -> segs.(per + s).events));
+          ]
+          ~nwin dplan)
   in
-  let cold = profile_of cm dec tr.cold ~imiss:icold dcold in
-  let result =
+  let models = ref [] in
+  let model key =
+    match List.assoc_opt key !models with
+    | Some m -> m
+    | None ->
+        let c, stall = key in
+        let cm = Cost_model.of_arch_config ~shift_stall:stall c in
+        let m = (cm, Decode.of_program cm tr.text.prog) in
+        models := (key, m) :: !models;
+        m
+  in
+  let profile g =
+    let cm, dec = model installed.(g) in
+    let p = static_profile cm dec segs.(g) in
+    add_replays cm p ~imiss:imiss.(g) dcounts.(g);
+    p.Profiler.cycles <- p.Profiler.cycles + charge.(g);
+    p
+  in
+  let sum = Array.fold_left Profiler.add (Profiler.create ()) in
+  let cold_phases = Array.init per profile in
+  let cold = sum cold_phases in
+  let charged = Array.fold_left ( + ) 0 (Array.sub charge 0 per) in
+  let phased =
     if reps = 1 then
       {
-        Machine.profile = cold;
-        cold_cycles = cold.Profiler.cycles;
-        warm_cycles = cold.Profiler.cycles;
-        checksum = tr.cold.checksum;
+        Machine.result =
+          {
+            Machine.profile = cold;
+            cold_cycles = cold.Profiler.cycles;
+            warm_cycles = cold.Profiler.cycles;
+            checksum = tr.cold.checksum;
+          };
+        phase_profiles = Array.to_list cold_phases;
+        switch_cycles = charged;
       }
     else begin
       if tr.warm.checksum <> tr.cold.checksum then
@@ -454,25 +706,85 @@ let price ?(reps = 1) ?(shift_stall = 0) tr (config : Arch.Config.t) =
              "Pricer.run: non-deterministic application (cold checksum %d, \
               warm %d)"
              tr.cold.checksum tr.warm.checksum);
-      let warm = profile_of cm dec tr.warm ~imiss:iwarm dwarm in
+      let warm_phases = Array.init per (fun s -> profile (per + s)) in
+      let warm = sum warm_phases in
       {
-        Machine.profile = Profiler.scale_add cold ~warm ~reps;
-        cold_cycles = cold.Profiler.cycles;
-        warm_cycles = warm.Profiler.cycles;
-        checksum = tr.cold.checksum;
+        Machine.result =
+          {
+            Machine.profile = Profiler.scale_add cold ~warm ~reps;
+            cold_cycles = cold.Profiler.cycles;
+            warm_cycles = warm.Profiler.cycles;
+            checksum = tr.cold.checksum;
+          };
+        phase_profiles =
+          List.init per (fun s ->
+              Profiler.scale_add cold_phases.(s) ~warm:warm_phases.(s) ~reps);
+        switch_cycles = charged + ((reps - 1) * (wrap_cycles + charged));
       }
     end
   in
-  Obs.Span.add_attr span "cycles" (Obs.Json.Int result.Machine.profile.Profiler.cycles);
-  result
+  Obs.Span.add_attr span "cycles"
+    (Obs.Json.Int phased.Machine.result.Machine.profile.Profiler.cycles);
+  phased
+
+let price ?reps ?shift_stall tr config =
+  (price_phased ?reps ?shift_stall ~switches:[] tr config).Machine.result
+
+(* Per-window profiles of the cold epoch: the detection boundaries cut
+   one walk of each kind, and none of it is memoized — a detection
+   prices its windows once. *)
+let windows ?(shift_stall = 0) tr (config : Arch.Config.t) ~window =
+  validate "Pricer.windows" config;
+  if window < 1 then invalid_arg "Pricer.windows: window must be >= 1";
+  let cm = Cost_model.of_arch_config ~shift_stall config in
+  let dec = Decode.of_program cm tr.text.prog in
+  let nw = max 1 ((tr.cold.instructions + window - 1) / window) in
+  let bounds = Array.init (nw - 1) (fun k -> (k + 1) * window) in
+  let profiles = Array.make nw (Profiler.create ()) in
+  let events = Array.make nw 0 in
+  segments tr.text tr.cold.tape bounds (fun s seg ->
+      profiles.(s) <- static_profile cm dec seg;
+      events.(s) <- seg.events);
+  let plan c = Array.init nw (fun g -> if g = 0 then Some c else None) in
+  let imiss =
+    walk_icache tr.text [ tr.cold.tape ] ~bounds (plan config.Arch.Config.icache)
+  in
+  let dcounts =
+    replay_dcache ~mem_size:tr.mem_size
+      [ (tr.cold.tape, event_cuts (nw - 1) (Array.get events)) ]
+      ~nwin:config.Arch.Config.iu.Arch.Config.reg_windows
+      (plan config.Arch.Config.dcache)
+  in
+  Array.iteri (fun g p -> add_replays cm p ~imiss:imiss.(g) dcounts.(g)) profiles;
+  profiles
+
+(* ------------------------------------------------------------------ *)
+(* The trace store                                                     *)
 
 let store : (int * Isa.Program.t, trace) Memo.t = Memo.create ()
+let stored ~mem_size prog =
+  Memo.find store (mem_size, prog) (fun () -> record ~mem_size prog)
 
 let run ?(mem_size = Machine.default_mem_size) ?reps ?shift_stall config prog =
   validate "Pricer.run" config;
-  let tr = Memo.find store (mem_size, prog) (fun () -> record ~mem_size prog) in
-  let r = price ?reps ?shift_stall tr config in
+  let r = price ?reps ?shift_stall (stored ~mem_size prog) config in
   Machine.flush_profile r.Machine.profile;
   r
+
+let run_phased ?(mem_size = Machine.default_mem_size) ?reps ?shift_stall
+    ?keep_caches ?wrap_cycles ~switches config prog =
+  validate "Pricer.run_phased" config;
+  let ph =
+    price_phased ?reps ?shift_stall ?keep_caches ?wrap_cycles ~switches
+      (stored ~mem_size prog) config
+  in
+  Machine.flush_profile ph.Machine.result.Machine.profile;
+  ph
+
+let detect ?(options = Phase.default_options) ?shift_stall
+    ?(mem_size = Machine.default_mem_size) config prog =
+  Phase.validate options;
+  Phase.segment ~options
+    (windows ?shift_stall (stored ~mem_size prog) config ~window:options.Phase.window)
 
 let clear () = Memo.clear store

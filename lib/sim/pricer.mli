@@ -1,7 +1,6 @@
-(** Trace once, price many: exact whole-run evaluation without
-    re-simulation.
+(** Trace once, price many: exact evaluation without re-simulation.
 
-    A whole run's instruction stream does not depend on the
+    A run's instruction stream does not depend on the
     microarchitecture: a missing multiplier or a slow decoder costs
     cycles, never instructions.  Only two things do depend on the
     configuration: cache behaviour, which follows the address streams
@@ -9,22 +8,28 @@
     follow the save/restore sequence through the register-window count.
 
     {!record} executes a program once per epoch (cold, then warm) and
-    keeps what is configuration-invariant in a {!Tape}.  {!price}
-    rebuilds the {!Machine.run} result for any configuration from the
-    tape: static cycles from the per-instruction counts and the
-    {!Decode} prices, plus one icache replay and one dcache-and-windows
-    replay.  Replay counts are memoized per trace: icache replays by
-    icache configuration, dcache replays by dcache configuration and
-    window count (all window counts that never overflow share one
-    entry).
+    keeps what is configuration-invariant in a {!Tape}.
+    {!price_phased} rebuilds the {!Machine.run_phased} result for any
+    schedule of configurations from the tape: the epochs are cut into
+    segments at the switch boundaries, each segment's static cycles come
+    from its per-instruction counts and the {!Decode} prices of its
+    configuration, and one icache replay and one dcache-and-windows
+    replay count the rest per segment, following the schedule's cache
+    restarts.  A whole run ({!price}) is the one-segment case, phase
+    detection ({!detect}) the per-window case on one configuration.
+    Segment counts are memoized per trace by boundaries, icache replays
+    by (cache plan, boundaries), dcache replays by (cache plan, window
+    class, boundaries); all window counts that never overflow share a
+    class.
 
-    The result is bit-identical to {!Machine.run} for every program
-    whose functional behaviour does not depend on the register-window
-    count, which holds for every program that leaves each frame's
-    64-byte register save area to the window trap handlers (the SPARC
-    ABI, and everything [Minic.Codegen] emits).  {!Machine.run} remains
-    the oracle: the [pricer-vs-sim] fuzz oracle and the pricer tests
-    check the two against each other. *)
+    The result is bit-identical to {!Machine.run_phased} (and so to
+    {!Machine.run}) and to {!Phase.detect} for every program whose
+    functional behaviour does not depend on the register-window count,
+    which holds for every program that leaves each frame's 64-byte
+    register save area to the window trap handlers (the SPARC ABI, and
+    everything [Minic.Codegen] emits).  The simulator remains the
+    oracle: the [pricer-vs-sim] and [phased-pricer-vs-sim] fuzz oracles
+    and the pricer tests check the two against each other. *)
 
 type trace
 (** One program's recorded cold and warm epochs plus its replay memo.
@@ -44,12 +49,35 @@ val record :
     @raise Cpu.Budget_exhausted, Cpu.Error or Memory.Fault as the
     execution does. *)
 
-val price : ?reps:int -> ?shift_stall:int -> trace -> Arch.Config.t -> Machine.result
-(** The {!Machine.run} result of the recorded program on [config],
-    without flushing metrics.
-    @raise Invalid_argument if [config] is invalid
+val price_phased :
+  ?reps:int ->
+  ?shift_stall:int ->
+  ?keep_caches:bool ->
+  ?wrap_cycles:int ->
+  switches:Machine.switch list ->
+  trace ->
+  Arch.Config.t ->
+  Machine.phased
+(** The {!Machine.run_phased} result of the recorded program, without
+    flushing metrics: the same result, [phase_profiles] and
+    [switch_cycles], with {!Cpu.reconfigure}'s semantics at every real
+    switch and nothing at a no-op one.
+    @raise Invalid_argument if a configuration is invalid, boundaries
+    are not strictly increasing or a switch changes the register-window
+    count
     @raise Failure if [reps > 1] and the recorded epochs' checksums
-    disagree, as {!Machine.run} does. *)
+    disagree, as {!Machine.run_phased} does. *)
+
+val price : ?reps:int -> ?shift_stall:int -> trace -> Arch.Config.t -> Machine.result
+(** The {!Machine.run} result of the recorded program on [config]: the
+    one-segment {!price_phased}. *)
+
+val windows :
+  ?shift_stall:int -> trace -> Arch.Config.t -> window:int -> Profiler.t array
+(** The cold epoch's profile on [config], window by window: what
+    {!Phase.detect} observes between its [Cpu.run_until] stops.  Nothing
+    is memoized.
+    @raise Invalid_argument if [config] is invalid or [window < 1]. *)
 
 val run :
   ?mem_size:int ->
@@ -62,6 +90,31 @@ val run :
     [sim.*] metrics.  The program's trace comes from a process-wide
     store, recorded on the first evaluation (concurrent first
     evaluations share one recording) and kept until {!clear}. *)
+
+val run_phased :
+  ?mem_size:int ->
+  ?reps:int ->
+  ?shift_stall:int ->
+  ?keep_caches:bool ->
+  ?wrap_cycles:int ->
+  switches:Machine.switch list ->
+  Arch.Config.t ->
+  Isa.Program.t ->
+  Machine.phased
+(** Drop-in for {!Machine.run_phased} over the same store as {!run}. *)
+
+val detect :
+  ?options:Phase.options ->
+  ?shift_stall:int ->
+  ?mem_size:int ->
+  Arch.Config.t ->
+  Isa.Program.t ->
+  Phase.t
+(** Drop-in for {!Phase.detect} over the same store as {!run}: the
+    change-point fold over {!windows}.  Flushes no metrics, as
+    {!Phase.detect} does not; the recording it makes serves every later
+    evaluation of the program.
+    @raise Invalid_argument on nonsensical options. *)
 
 val clear : unit -> unit
 (** Drop every stored trace, so the next evaluation of each program

@@ -2,7 +2,6 @@ type t = {
   taken : Bytes.t array;
   targets : Bytes.t array;
   events : Bytes.t array;
-  icc_pairs : int;
   resident_peak : int;
 }
 
@@ -69,7 +68,6 @@ type recorder = {
   rtargets : buf;
   revents : buf;
   mutable last_addr : int;
-  mutable pairs : int;
   mutable depth : int;
   mutable min_depth : int;
   mutable peak : int;
@@ -84,7 +82,6 @@ let recorder ?like () =
     rtargets = buf (chunks (fun t -> t.targets));
     revents = buf (chunks (fun t -> t.events));
     last_addr = 0;
-    pairs = 0;
     depth = 0;
     min_depth = 0;
     peak = 1;
@@ -127,7 +124,6 @@ let restore r =
 
 let set_sp r v = event r ev_set_sp v
 let set_fp r v = event r ev_set_fp v
-let icc_pair r = r.pairs <- r.pairs + 1
 
 let finish r =
   if r.nbits > 0 then push_byte r.rtaken r.bits;
@@ -135,7 +131,6 @@ let finish r =
     taken = seal r.rtaken;
     targets = seal r.rtargets;
     events = seal r.revents;
-    icc_pairs = r.pairs;
     resident_peak = r.peak;
   }
 

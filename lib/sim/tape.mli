@@ -20,9 +20,6 @@ type t = {
           bit first: 1 when it was taken *)
   targets : Bytes.t array;  (** varint target of each executed [jmpl] *)
   events : Bytes.t array;  (** varint data-side events, see below *)
-  icc_pairs : int;
-      (** ICC-using branches executed directly after a cc-setting
-          instruction *)
   resident_peak : int;
       (** the most frames resident at any [save] on a register file
           that never overflows: with [nwin >= resident_peak + 2]
@@ -81,7 +78,6 @@ val restore : recorder -> bool
 
 val set_sp : recorder -> int -> unit
 val set_fp : recorder -> int -> unit
-val icc_pair : recorder -> unit
 
 val finish : recorder -> t
 (** Seal the recording.  The recorder must not be used afterwards. *)

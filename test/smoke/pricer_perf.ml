@@ -1,24 +1,37 @@
-(* Replay-pricing smoke test (@pricer-perf): evaluate BLASTN on every
-   configuration LEON2's Measure.build evaluates, once with the full
-   simulator (Machine.run per configuration) and once by recording the
-   program and pricing every configuration from the recording
-   (Pricer.record + Pricer.price).  Every priced result must be
-   bit-identical to its simulation, and record + price must be at least
-   [min_speedup] times faster than simulating. *)
+(* Replay-pricing smoke test (@pricer-perf), two checks on LEON2.
+
+   Whole runs: BLASTN on every configuration Measure.build evaluates,
+   once with the full simulator (Machine.run per configuration) and
+   once by recording the program and pricing every configuration from
+   the recording (Pricer.record + Pricer.price): bit-identical, and
+   record + price at least [min_speedup] times faster.
+
+   Segmented runs: the [phases] app cut at its detected boundaries, on
+   every configuration Schedule.run measures per phase (the schedule
+   dimensions), simulated with Machine.run_phased over identity
+   switches and priced with Pricer.record + Pricer.price_phased:
+   bit-identical, and at least [min_segmented_speedup] times faster. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 let min_speedup = 5.0
+let min_segmented_speedup = 3.0
 
 module T = Dse.Target_leon2
 
-let configs =
+let perturbations vars =
   T.base
   :: List.concat_map
        (fun (v : T.var) ->
          let r = T.reference_config v in
          [ v.T.apply r; r ])
-       T.vars
+       vars
   |> List.sort_uniq compare
+
+let configs = perturbations T.vars
+
+let schedule_configs =
+  perturbations
+    (List.filter (fun (v : T.var) -> List.mem v.T.group T.schedule_dims) T.vars)
 
 let timed f =
   let t0 = Obs.Clock.now_ns () in
@@ -52,4 +65,39 @@ let () =
   Printf.printf
     "pricer-perf: %d configs bit-identical; simulate %.2fs, record+price \
      %.3fs (%.1fx): ok\n"
-    (List.length configs) sim_s price_s speedup
+    (List.length configs) sim_s price_s speedup;
+  let app = Apps.Extra.phases in
+  let prog = Lazy.force app.Apps.Registry.program in
+  let reps = app.Apps.Registry.reps in
+  let boundaries = Sim.Phase.boundaries (T.detect_phases app) in
+  if boundaries = [] then fail "pricer-perf: no phase boundaries detected on phases";
+  let switches c = Sim.Machine.identity_switches ~boundaries c in
+  let simulated, sim_s =
+    timed (fun () ->
+        List.map
+          (fun c -> Sim.Machine.run_phased ~reps ~switches:(switches c) c prog)
+          schedule_configs)
+  in
+  let priced, price_s =
+    timed (fun () ->
+        let trace = Sim.Pricer.record prog in
+        List.map
+          (fun c -> Sim.Pricer.price_phased ~reps ~switches:(switches c) trace c)
+          schedule_configs)
+  in
+  List.iteri
+    (fun k (s, p) ->
+      if s <> p then
+        fail "pricer-perf: segmented config %d (%s) priced %d cycles, simulated %d" k
+          (T.to_string (List.nth schedule_configs k))
+          p.Sim.Machine.result.Sim.Machine.profile.Sim.Profiler.cycles
+          s.Sim.Machine.result.Sim.Machine.profile.Sim.Profiler.cycles)
+    (List.combine simulated priced);
+  let speedup = sim_s /. Float.max price_s 1e-9 in
+  if speedup < min_segmented_speedup then
+    fail "pricer-perf: segmented record+price %.3fs vs simulation %.3fs: %.1fx < %.1fx"
+      price_s sim_s speedup min_segmented_speedup;
+  Printf.printf
+    "pricer-perf: phases at %d boundaries, %d configs bit-identical; simulate \
+     %.2fs, record+price %.3fs (%.1fx): ok\n"
+    (List.length boundaries) (List.length schedule_configs) sim_s price_s speedup

@@ -135,6 +135,31 @@ let test_detection_deterministic () =
   in
   Alcotest.(check string) "digest stable" (d ()) (d ())
 
+(* Every option is checked before anything runs, the threshold too: a
+   NaN threshold never opens a phase and a negative one opens one at
+   every chance, so both are rejected like a zero window. *)
+let test_options_rejected () =
+  let prog = Lazy.force three_phase_prog in
+  List.iter
+    (fun (label, options) ->
+      List.iter
+        (fun (path, detect) ->
+          match detect ~options base prog with
+          | exception Invalid_argument _ -> ()
+          | _ -> Alcotest.failf "%s: %s accepted" path label)
+        [
+          ("Phase.detect", fun ~options c p -> Sim.Phase.detect ~options c p);
+          ("Pricer.detect", fun ~options c p -> Sim.Pricer.detect ~options c p);
+        ])
+    [
+      ("window 0", { micro_options with Sim.Phase.window = 0 });
+      ("threshold nan", { micro_options with Sim.Phase.threshold = Float.nan });
+      ("threshold inf", { micro_options with Sim.Phase.threshold = Float.infinity });
+      ("threshold -0.1", { micro_options with Sim.Phase.threshold = -0.1 });
+      ("min_windows 0", { micro_options with Sim.Phase.min_windows = 0 });
+      ("max_phases 0", { micro_options with Sim.Phase.max_phases = 0 });
+    ]
+
 (* --- 1-phase schedule = static bit-identity --- *)
 
 let test_one_phase_bit_identity () =
@@ -177,8 +202,9 @@ let test_segmented_telescoping () =
   let r = Sim.Machine.run ~reps:2 base prog in
   let t = Sim.Phase.detect ~options:micro_options base prog in
   let seg =
-    Sim.Machine.run_segmented ~reps:2
-      ~boundaries:(Sim.Phase.boundaries t)
+    Sim.Machine.run_phased ~reps:2
+      ~switches:
+        (Sim.Machine.identity_switches ~boundaries:(Sim.Phase.boundaries t) base)
       base prog
   in
   check_bool "result bit-identical to run" true
@@ -249,6 +275,8 @@ let () =
             test_pinning_threshold_stable;
           Alcotest.test_case "deterministic digest" `Quick
             test_detection_deterministic;
+          Alcotest.test_case "nonsensical options rejected" `Quick
+            test_options_rejected;
         ] );
       ( "phased",
         [

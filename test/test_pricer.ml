@@ -237,6 +237,248 @@ let test_icache_walk () =
       ("2-way LRU", 2, Arch.Config.Lru);
     ]
 
+(* --- segmented runs, phased runs and phase detection ----------------- *)
+
+let phased =
+  Alcotest.testable
+    (fun ppf (ph : Sim.Machine.phased) ->
+      Fmt.pf ppf "@[<v>switch cycles %d@,%a@,phases:@,%a@]"
+        ph.Sim.Machine.switch_cycles (Alcotest.pp result) ph.Sim.Machine.result
+        (Fmt.list Sim.Profiler.pp) ph.Sim.Machine.phase_profiles)
+    ( = )
+
+(* Priced and simulated phased runs of [prog] agree. *)
+let check_phased ?(reps = 3) ?(shift_stall = 0) ?keep_caches ?wrap_cycles ~what
+    ~switches trace prog config =
+  Alcotest.check phased what
+    (Sim.Machine.run_phased ~reps ~shift_stall ?keep_caches ?wrap_cycles
+       ~switches config prog)
+    (Sim.Pricer.price_phased ~reps ~shift_stall ?keep_caches ?wrap_cycles
+       ~switches trace config)
+
+(* What Schedule.run measures per phase on a target: the base and every
+   schedule-dimension perturbation with its reference, lowered to the
+   simulator's (configuration, shift stall), plus the target's phase
+   detection. *)
+type schedule_target = {
+  name : string;
+  configs : (Arch.Config.t * int) list;
+  detect : Apps.Registry.t -> Sim.Phase.t;
+  detect_simulated : ?options:Sim.Phase.options -> Isa.Program.t -> Sim.Phase.t;
+}
+
+let schedule_target (type c) (module T : Dse.Target.S with type config = c)
+    (lower : c -> Arch.Config.t * int) =
+  let configs =
+    T.base
+    :: List.concat_map
+         (fun (v : T.var) ->
+           if List.mem v.T.group T.schedule_dims then
+             let r = T.reference_config v in
+             [ v.T.apply r; r ]
+           else [])
+         T.vars
+    |> List.sort_uniq compare |> List.map lower
+  in
+  let base, shift_stall = lower T.base in
+  {
+    name = T.name;
+    configs;
+    detect = (fun app -> T.detect_phases app);
+    detect_simulated =
+      (fun ?options prog -> Sim.Phase.detect ?options ~shift_stall base prog);
+  }
+
+let schedule_targets =
+  [
+    schedule_target (module Dse.Target_leon2) (fun c -> (c, 0));
+    schedule_target
+      (module Dse.Target_microblaze)
+      (fun c ->
+        (Dse.Target_microblaze.lower c, Dse.Target_microblaze.shift_stall c));
+  ]
+
+(* Per-phase measurement: every configuration, cut at the app's
+   detected boundaries by identity switches. *)
+let test_segmented (app : Apps.Registry.t) () =
+  let prog = Lazy.force app.Apps.Registry.program in
+  let trace = Sim.Pricer.record prog in
+  List.iter
+    (fun t ->
+      let boundaries = Sim.Phase.boundaries (t.detect app) in
+      List.iteri
+        (fun k (config, shift_stall) ->
+          check_phased ~reps:app.Apps.Registry.reps ~shift_stall
+            ~what:
+              (Printf.sprintf "%s %s config %d, %d boundaries"
+                 app.Apps.Registry.name t.name k (List.length boundaries))
+            ~switches:
+              (Sim.Machine.identity_switches ~shift_stall ~boundaries config)
+            trace prog config)
+        t.configs)
+    schedule_targets
+
+(* A schedule naming one configuration throughout never switches: it
+   prices like the whole run, charges nothing, and its phases add up to
+   the whole. *)
+let test_one_config_schedule () =
+  let prog = Lazy.force Apps.Extra.phases.Apps.Registry.program in
+  let trace = Sim.Pricer.record prog in
+  List.iter
+    (fun t ->
+      List.iter
+        (fun (config, shift_stall) ->
+          let switches =
+            List.map
+              (fun at ->
+                { Sim.Machine.at_insn = at; config; shift_stall; cycles = 4000 })
+              [ 1000; 50_000; 50_001 ]
+          in
+          let ph =
+            Sim.Pricer.price_phased ~reps:3 ~shift_stall ~keep_caches:true
+              ~wrap_cycles:0 ~switches trace config
+          in
+          let whole = Sim.Pricer.price ~reps:3 ~shift_stall trace config in
+          Alcotest.check result (t.name ^ ": whole run") whole ph.Sim.Machine.result;
+          Alcotest.(check int)
+            (t.name ^ ": no switch cycles")
+            0 ph.Sim.Machine.switch_cycles;
+          Alcotest.(check bool)
+            (t.name ^ ": phases sum to the whole")
+            true
+            (List.fold_left Sim.Profiler.add (Sim.Profiler.create ())
+               ph.Sim.Machine.phase_profiles
+            = whole.Sim.Machine.profile))
+        [ List.hd t.configs; List.nth t.configs 3 ])
+    schedule_targets
+
+(* Real switches between schedule configurations, with and without
+   cache retention, a wrap charge, and boundaries at the first
+   instruction and past the halt. *)
+let test_phased_switches () =
+  let app = Apps.Extra.phases in
+  let prog = Lazy.force app.Apps.Registry.program in
+  let trace = Sim.Pricer.record prog in
+  let total =
+    (Sim.Machine.run Arch.Config.base prog).Sim.Machine.profile
+      .Sim.Profiler.instructions
+  in
+  List.iter
+    (fun t ->
+      let config k = List.nth t.configs (k mod List.length t.configs) in
+      let first, stall0 = config 0 in
+      List.iter
+        (fun (label, ats) ->
+          List.iter
+            (fun keep_caches ->
+              let switches =
+                List.mapi
+                  (fun k at ->
+                    let config, shift_stall = config (k + 1) in
+                    {
+                      Sim.Machine.at_insn = at;
+                      config;
+                      shift_stall;
+                      cycles = 100 * (k + 1);
+                    })
+                  ats
+              in
+              check_phased ~reps:app.Apps.Registry.reps ~shift_stall:stall0 ~keep_caches
+                ~wrap_cycles:77
+                ~what:(Printf.sprintf "%s %s keep=%b" t.name label keep_caches)
+                ~switches trace prog first)
+            [ true; false ])
+        [
+          ("interior", [ total / 3; 2 * total / 3 ]);
+          ("at instruction 1", [ 1; total / 2 ]);
+          ("past the halt", [ total / 2; total + 5 ]);
+          ("1 and past the halt", [ 1; total; total + 1 ]);
+        ])
+    schedule_targets
+
+let test_window_count_fixed () =
+  let prog = Lazy.force Apps.Extra.qsort.Apps.Registry.program in
+  let trace = Sim.Pricer.record prog in
+  let switches =
+    [
+      {
+        Sim.Machine.at_insn = 100;
+        config = with_windows 16 Arch.Config.base;
+        shift_stall = 0;
+        cycles = 0;
+      };
+    ]
+  in
+  List.iter
+    (fun (path, run) ->
+      match run () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: a register-window change was accepted" path)
+    [
+      ( "Machine.run_phased",
+        fun () -> Sim.Machine.run_phased ~switches Arch.Config.base prog );
+      ( "Pricer.price_phased",
+        fun () -> Sim.Pricer.price_phased ~switches trace Arch.Config.base );
+    ]
+
+(* Priced detection equals simulated detection: the same boundaries and
+   digest, and the same per-phase profiles. *)
+let test_detect () =
+  List.iter
+    (fun (app : Apps.Registry.t) ->
+      let prog = Lazy.force app.Apps.Registry.program in
+      List.iter
+        (fun t ->
+          List.iter
+            (fun options ->
+              let what =
+                Printf.sprintf "%s %s window %d" app.Apps.Registry.name t.name
+                  options.Sim.Phase.window
+              in
+              let simulated = t.detect_simulated ~options prog in
+              let priced =
+                if options = Sim.Phase.default_options then t.detect app
+                else
+                  let base, shift_stall = List.hd t.configs in
+                  Sim.Pricer.detect ~options ~shift_stall base prog
+              in
+              Alcotest.(check string) (what ^ ": digest")
+                (Sim.Phase.digest simulated) (Sim.Phase.digest priced);
+              Alcotest.(check bool) (what ^ ": phases") true (simulated = priced))
+            [
+              Sim.Phase.default_options;
+              { Sim.Phase.default_options with Sim.Phase.window = 700; min_windows = 2 };
+            ])
+        schedule_targets)
+    [ Apps.Extra.phases; Apps.Registry.blastn; Apps.Registry.drr; Apps.Extra.qsort ]
+
+(* --- condition-code holds --------------------------------------- *)
+
+(* A conditional branch right after a cc-setting instruction, entered
+   30 times from it and once by a jump: only the sequential arrivals
+   hold on the condition codes. *)
+let branch_target () =
+  let a = Isa.Asm.create () in
+  Isa.Asm.set32 a 30 (o 1);
+  Isa.Asm.ba a "mid";
+  Isa.Asm.label a "top";
+  Isa.Asm.emit a (alu ~cc:true Isa.Insn.Sub (o 1) (o 1) (Isa.Insn.Imm 1));
+  Isa.Asm.label a "mid";
+  Isa.Asm.bcc a Isa.Insn.Ne "top";
+  Isa.Asm.emit a Isa.Insn.Halt;
+  Isa.Asm.finish a ~entry:0
+
+let test_icc_at_branch_target () =
+  let prog = branch_target () in
+  let trace = Sim.Pricer.record prog in
+  let r = Sim.Machine.run Arch.Config.base prog in
+  Alcotest.(check int) "holds" 30 r.Sim.Machine.profile.Sim.Profiler.icc_hold_stalls;
+  check_config ~what:"whole run" trace prog Arch.Config.base;
+  check_phased ~what:"cut at the jump target"
+    ~switches:
+      (Sim.Machine.identity_switches ~boundaries:[ 3; 4 ] Arch.Config.base)
+    trace prog Arch.Config.base
+
 (* --- tape encoding ------------------------------------------------- *)
 
 (* Enough events to fill several chunks, with large and negative address
@@ -397,6 +639,21 @@ let () =
           Alcotest.test_case "deep recursion and %sp writes" `Quick test_windows;
           Alcotest.test_case "replacement policies" `Quick test_replacement;
           Alcotest.test_case "icache walk" `Quick test_icache_walk;
+          Alcotest.test_case "icc hold at a branch target" `Quick
+            test_icc_at_branch_target;
+        ] );
+      ( "phased",
+        [
+          Alcotest.test_case "segmented phases, every schedule config" `Quick
+            (test_segmented Apps.Extra.phases);
+          Alcotest.test_case "segmented blastn, every schedule config" `Quick
+            (test_segmented Apps.Registry.blastn);
+          Alcotest.test_case "1-config schedule = whole run" `Quick
+            test_one_config_schedule;
+          Alcotest.test_case "real switches and edge boundaries" `Quick
+            test_phased_switches;
+          Alcotest.test_case "window count is fixed" `Quick test_window_count_fixed;
+          Alcotest.test_case "detection = simulated detection" `Quick test_detect;
         ] );
       ("tape", [ Alcotest.test_case "round trip and sharing" `Quick test_tape_roundtrip ]);
       ( "failures",
