@@ -23,6 +23,9 @@ type variant = Stack.variant = {
 
 val paper_variant : variant
 val make : ?variant:variant -> Cost.weights -> Measure.model -> Optim.Binlp.problem
+(** @raise Invalid_argument naming the row and the field if a measured
+    delta is not finite; the target's [make_schedule] checks every phase
+    model the same way. *)
 
 val make_custom :
   objective:(Measure.row -> float) ->

@@ -272,7 +272,24 @@ module Make (T : Target.S) = struct
         constraints = couplings @ resource_constraints;
       }
 
+    (* A non-finite measured delta would make the solve's answer
+       meaningless; reject it, naming the function, the field and the
+       row. *)
+    let check_finite fn (model : Measure.model) =
+      List.iter
+        (fun (r : Measure.row) ->
+          let d = r.Measure.deltas in
+          List.iter
+            (fun (field, v) ->
+              if not (Float.is_finite v) then
+                invalid_arg
+                  (Printf.sprintf "%s: non-finite measured delta %s = %g for %s"
+                     fn field v r.Measure.var.T.label))
+            [ ("rho", d.Cost.rho); ("lambda", d.Cost.lambda); ("beta", d.Cost.beta) ])
+        model.Measure.rows
+
     let make ?variant (weights : Cost.weights) model =
+      check_finite "Formulate.make" model;
       make_custom
         ~objective:(fun (r : Measure.row) ->
           Cost.objective weights r.Measure.deltas)
@@ -315,6 +332,7 @@ module Make (T : Target.S) = struct
 
     let make_schedule ?(variant = paper_variant) ~reps
         ~(weights : Cost.weights) (models : Measure.model list) =
+      List.iter (check_finite "Formulate.make_schedule") models;
       match models with
       | [] -> invalid_arg "Formulate.make_schedule: no phase models"
       | [ model ] ->

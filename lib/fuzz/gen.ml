@@ -431,6 +431,32 @@ let constr nvars =
   let* bound = half (-16) 24 in
   G.return { Optim.Binlp.terms; rel; bound }
 
+(* The objective-term shapes the schedule formulation emits: a linear
+   term, or a product of two linear forms.  Unlike [lin], a form may
+   repeat a variable and carry zero coefficients, which the solver's
+   compiled incidence must sum exactly as [Optim.Binlp.eval_lin]
+   does. *)
+let term_lin nvars =
+  let* n = G.int_range 1 4 in
+  let* coeffs =
+    G.list_size (G.return n)
+      (let* v = G.int_range 0 (nvars - 1) in
+       let* c = G.frequency [ (1, G.return 0.0); (4, half (-6) 6) ] in
+       G.return (v, c))
+  in
+  let* const = half (-4) 4 in
+  G.return { Optim.Binlp.coeffs; const }
+
+let objective_term nvars =
+  G.frequency
+    [
+      (1, G.map (fun l -> Optim.Binlp.Lin l) (term_lin nvars));
+      ( 2,
+        let* a = term_lin nvars in
+        let* b = term_lin nvars in
+        G.return (Optim.Binlp.Prod (a, b)) );
+    ]
+
 let binlp_problem =
   let* nvars = G.int_range 1 6 in
   let* objective = G.array_size (G.return nvars) (half (-8) 8) in
@@ -445,7 +471,9 @@ let binlp_problem =
   in
   let* ncons = G.int_range 0 3 in
   let* constraints = G.list_size (G.return ncons) (constr nvars) in
-  G.return { Optim.Binlp.nvars; objective; groups; constraints }
+  let* nterms = G.int_range 0 3 in
+  let* terms = G.list_size (G.return nterms) (objective_term nvars) in
+  G.return ({ Optim.Binlp.nvars; objective; groups; constraints }, terms)
 
 let print_lin (l : Optim.Binlp.lin) =
   let parts =
@@ -453,14 +481,20 @@ let print_lin (l : Optim.Binlp.lin) =
   in
   String.concat " + " (parts @ [ Printf.sprintf "%g" l.const ])
 
-let print_binlp (p : Optim.Binlp.problem) =
+let print_binlp_term = function
+  | Optim.Binlp.Lin l -> Printf.sprintf "(%s)" (print_lin l)
+  | Optim.Binlp.Prod (x, y) ->
+      Printf.sprintf "(%s)*(%s)" (print_lin x) (print_lin y)
+
+let print_binlp ((p : Optim.Binlp.problem), terms) =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "min %s\n"
        (String.concat " + "
           (List.mapi
              (fun i c -> Printf.sprintf "%g*x%d" c i)
-             (Array.to_list p.objective))));
+             (Array.to_list p.objective)
+          @ List.map print_binlp_term terms)));
   List.iter
     (fun g ->
       Buffer.add_string b
@@ -469,14 +503,9 @@ let print_binlp (p : Optim.Binlp.problem) =
     p.groups;
   List.iter
     (fun (c : Optim.Binlp.constr) ->
-      let term = function
-        | Optim.Binlp.Lin l -> Printf.sprintf "(%s)" (print_lin l)
-        | Optim.Binlp.Prod (x, y) ->
-            Printf.sprintf "(%s)*(%s)" (print_lin x) (print_lin y)
-      in
       Buffer.add_string b
         (Printf.sprintf "%s %s %g\n"
-           (String.concat " + " (List.map term c.terms))
+           (String.concat " + " (List.map print_binlp_term c.terms))
            (match c.rel with Le -> "<=" | Ge -> ">=")
            c.bound))
     p.constraints;

@@ -40,12 +40,15 @@ val mb_config : Arch.Mb_config.t QCheck2.Gen.t
 
 val print_mb_config : Arch.Mb_config.t -> string
 
-val binlp_problem : Optim.Binlp.problem QCheck2.Gen.t
+val binlp_problem : (Optim.Binlp.problem * Optim.Binlp.term list) QCheck2.Gen.t
 (** Small instances (at most 6 variables, 2 SOS1 groups, 3
     constraints, product terms included) with half-integer
-    coefficients, sized for brute-force cross-checking. *)
+    coefficients, sized for brute-force cross-checking, and 0–3
+    objective terms for [Optim.Binlp.solve ~objective_terms]: linear or
+    products of two linear forms, whose forms may repeat a variable and
+    carry zero coefficients. *)
 
-val print_binlp : Optim.Binlp.problem -> string
+val print_binlp : Optim.Binlp.problem * Optim.Binlp.term list -> string
 
 val json : Obs.Json.t QCheck2.Gen.t
 (** Finite floats only (JSON cannot round-trip inf/nan). *)

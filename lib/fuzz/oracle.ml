@@ -494,13 +494,15 @@ let binlp_exact =
       name = "binlp-exact";
       doc =
         "branch-and-bound solve agrees with brute-force enumeration on small \
-         SOS1 instances";
+         SOS1 instances with objective terms";
       gen = Gen.binlp_problem;
       print = Gen.print_binlp;
       prop =
-        (fun p ->
-          let brute = Optim.Binlp.brute_force p in
-          let solved = Optim.Binlp.solve ~node_limit:2_000_000 p in
+        (fun (p, objective_terms) ->
+          let brute = Optim.Binlp.brute_force ~objective_terms p in
+          let solved =
+            Optim.Binlp.solve ~node_limit:2_000_000 ~objective_terms p
+          in
           if solved.Optim.Binlp.status <> Optim.Binlp.Optimal then
             T2.fail_reportf "solver hit the node limit on a small instance";
           match (brute, solved.Optim.Binlp.best) with
@@ -558,15 +560,17 @@ let binlp_par =
       gen = Gen.binlp_problem;
       print = Gen.print_binlp;
       prop =
-        (fun p ->
-          let seq = Optim.Binlp.solve ~node_limit:2_000_000 p in
+        (fun (p, objective_terms) ->
+          let seq =
+            Optim.Binlp.solve ~node_limit:2_000_000 ~objective_terms p
+          in
           let pool2, pool4 = Lazy.force par_pools in
           List.iter
             (fun (label, pool) ->
               let par =
                 Optim.Binlp.solve ~node_limit:2_000_000
                   ~runner:(Dse.Pool.solver_runner pool)
-                  p
+                  ~objective_terms p
               in
               if par.Optim.Binlp.status <> seq.Optim.Binlp.status then
                 T2.fail_reportf "%s: status differs from sequential" label;

@@ -73,14 +73,16 @@ val mb_codec_roundtrip : t
 
 val binlp_exact : t
 (** {!Optim.Binlp.solve} against {!Optim.Binlp.brute_force} on small
-    SOS1 instances, product-form constraints included.  Compares the
+    SOS1 instances, product-form constraints and objective terms (the
+    schedule solve's path) included.  Compares the
     winning {e assignments}, not just the objectives — both sides pin
     the same tie-break (minimal objective, then lexicographically
     smallest point). *)
 
 val binlp_par : t
 (** Parallel {!Optim.Binlp.solve} on explicit 2- and 4-worker
-    {!Dse.Pool}s against the sequential solve: same status and a
+    {!Dse.Pool}s against the sequential solve, objective terms
+    included: same status and a
     bit-identical winner (objective and assignment), for every worker
     count.  Exercises the shared-incumbent search under real domain
     interleaving. *)

@@ -49,6 +49,25 @@ let sos1_ok groups x =
 
 let check p x = sos1_ok p.groups x && List.for_all (check_constr x) p.constraints
 
+let finite what v =
+  if not (Float.is_finite v) then invalid_arg ("Binlp: non-finite " ^ what)
+
+(* Every index of [l] in range and every number finite; [where] names
+   the enclosing constraint or objective term in the messages. *)
+let check_lin nvars ~range_msg ~where l =
+  List.iter
+    (fun (j, a) ->
+      if j < 0 || j >= nvars then invalid_arg range_msg;
+      finite (Printf.sprintf "coefficient of x%d in %s" j where) a)
+    l.coeffs;
+  finite ("constant in " ^ where) l.const
+
+let check_term nvars ~range_msg ~where = function
+  | Lin l -> check_lin nvars ~range_msg ~where l
+  | Prod (l1, l2) ->
+      check_lin nvars ~range_msg ~where l1;
+      check_lin nvars ~range_msg ~where l2
+
 let validate p =
   let seen = Array.make p.nvars false in
   List.iter
@@ -62,22 +81,17 @@ let validate p =
     p.groups;
   if Array.length p.objective <> p.nvars then
     invalid_arg "Binlp: objective length mismatch";
-  let check_lin l =
-    List.iter
-      (fun (j, _) ->
-        if j < 0 || j >= p.nvars then
-          invalid_arg "Binlp: constraint index out of range")
-      l.coeffs
-  in
-  List.iter
-    (fun c ->
+  Array.iteri
+    (fun j a -> finite (Printf.sprintf "objective entry of x%d" j) a)
+    p.objective;
+  List.iteri
+    (fun k c ->
+      let where = Printf.sprintf "constraint %d" k in
       List.iter
-        (function
-          | Lin l -> check_lin l
-          | Prod (l1, l2) ->
-              check_lin l1;
-              check_lin l2)
-        c.terms)
+        (check_term p.nvars ~range_msg:"Binlp: constraint index out of range"
+           ~where)
+        c.terms;
+      finite ("bound of " ^ where) c.bound)
     p.constraints;
   seen
 
@@ -95,11 +109,16 @@ let effective_groups p =
 let lin_coeff l j =
   List.fold_left (fun acc (k, a) -> if k = j then acc +. a else acc) 0.0 l.coeffs
 
-let interval_min_product (l1, u1) (l2, u2) =
-  min (min (l1 *. l2) (l1 *. u2)) (min (u1 *. l2) (u1 *. u2))
+(* Interval products on unboxed scalars, with [Stdlib.min]/[max]
+   semantics ([Float.min] and [Float.max] differ on [-0.] and NaN). *)
+let[@inline] fmin (a : float) b = if a <= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
 
-let interval_max_product (l1, u1) (l2, u2) =
-  max (max (l1 *. l2) (l1 *. u2)) (max (u1 *. l2) (u1 *. u2))
+let[@inline] interval_min_product l1 u1 l2 u2 =
+  fmin (fmin (l1 *. l2) (l1 *. u2)) (fmin (u1 *. l2) (u1 *. u2))
+
+let[@inline] interval_max_product l1 u1 l2 u2 =
+  fmax (fmax (l1 *. l2) (l1 *. u2)) (fmax (u1 *. l2) (u1 *. u2))
 
 (* The pinned tie-break: first differing index decides, an unselected
    variable beats a selected one.  Together with the canonical leaf
@@ -125,27 +144,170 @@ let better_solution a b =
   a.objective < b.objective
   || (a.objective = b.objective && lex_lt a.x b.x)
 
-(* One linear factor tracked during search: its current partial value
-   and, per depth, the min/max contribution still achievable from the
-   remaining groups. *)
-type factor = {
-  lin : lin;
-  mutable value : float;
-  smin : float array; (* suffix over groups, length ngroups+1 *)
-  smax : float array;
+(* {2 The compiled search}
+
+   [solve] compiles the problem once into flat arrays shared read-only
+   by every frontier task, so branching, propagation and bounding walk
+   no list and allocate nothing; a leaf that survives propagation runs
+   the exact list-based check and objective [brute_force] uses.  Every
+   linear form of a constraint or objective term is one {e factor}: a
+   task tracks its partial value over the variables chosen so far, and
+   interval propagation adds the least or greatest contribution the
+   remaining groups can still make.  Each float operation of the
+   list-based search it replaces happens in the same order on the same
+   operands, so prune decisions, node counts and the winner are
+   unchanged. *)
+
+type compiled = {
+  init : float array;  (* each factor's constant *)
+  smin : float array array;
+      (* [smin.(depth).(f)]: the least contribution the groups at
+         [depth..] can still add to factor [f]; [smax] the greatest *)
+  smax : float array array;
+  inc_f : int array array;  (* per variable: the factors it moves... *)
+  inc_c : float array array;  (* ...and by how much, as [lin_coeff] sums *)
+  tf1 : int array;
+  tf2 : int array;
+      (* term [t]'s factors, [tf2.(t) = -1] for a linear term: the
+         constraint terms, then the objective terms *)
+  cstart : int array;
+      (* constraint [k] owns terms [cstart.(k) .. cstart.(k+1) - 1]; the
+         objective terms start at the last entry *)
+  cle : bool array;
+  cbound : float array;
 }
 
-type tracked = TLin of factor | TProd of factor * factor
+let compile p objective_terms garr =
+  let ngroups = Array.length garr in
+  let lins = ref [] and nf = ref 0 in
+  let factor l =
+    lins := l :: !lins;
+    incr nf;
+    !nf - 1
+  in
+  let term = function
+    | Lin l -> (factor l, -1)
+    | Prod (a, b) ->
+        let f1 = factor a in
+        (f1, factor b)
+  in
+  let per_constr = List.map (fun c -> List.map term c.terms) p.constraints in
+  let terms =
+    Array.of_list (List.concat per_constr @ List.map term objective_terms)
+  in
+  let lins = Array.of_list (List.rev !lins) in
+  let nf = Array.length lins in
+  let smin = Array.make_matrix (ngroups + 1) nf 0.0 in
+  let smax = Array.make_matrix (ngroups + 1) nf 0.0 in
+  let inc = Array.make p.nvars [] in
+  for f = nf - 1 downto 0 do
+    let l = lins.(f) in
+    for gi = ngroups - 1 downto 0 do
+      let contribs = 0.0 :: List.map (lin_coeff l) garr.(gi) in
+      smin.(gi).(f) <- smin.(gi + 1).(f) +. List.fold_left min infinity contribs;
+      smax.(gi).(f) <-
+        smax.(gi + 1).(f) +. List.fold_left max neg_infinity contribs
+    done;
+    List.iter
+      (fun j ->
+        let c = lin_coeff l j in
+        if c <> 0.0 then inc.(j) <- (f, c) :: inc.(j))
+      (List.sort_uniq compare (List.map fst l.coeffs))
+  done;
+  let cstart = Array.make (List.length p.constraints + 1) 0 in
+  List.iteri
+    (fun k ts -> cstart.(k + 1) <- cstart.(k) + List.length ts)
+    per_constr;
+  {
+    init = Array.map (fun (l : lin) -> l.const) lins;
+    smin;
+    smax;
+    inc_f = Array.map (fun fs -> Array.of_list (List.map fst fs)) inc;
+    inc_c = Array.map (fun fs -> Array.of_list (List.map snd fs)) inc;
+    tf1 = Array.map fst terms;
+    tf2 = Array.map snd terms;
+    cstart;
+    cle = Array.of_list (List.map (fun c -> c.rel = Le) p.constraints);
+    cbound = Array.of_list (List.map (fun c -> c.bound) p.constraints);
+  }
+
+(* Select variable [j]: [v +. c] on each factor it moves, as the
+   list-based search added [sign *. c]; [unapply] subtracts, which IEEE
+   754 defines as adding the negation. *)
+let apply cp values j =
+  let fs = cp.inc_f.(j) and cs = cp.inc_c.(j) in
+  for k = 0 to Array.length fs - 1 do
+    let f = fs.(k) in
+    values.(f) <- values.(f) +. cs.(k)
+  done
+
+let unapply cp values j =
+  let fs = cp.inc_f.(j) and cs = cp.inc_c.(j) in
+  for k = 0 to Array.length fs - 1 do
+    let f = fs.(k) in
+    values.(f) <- values.(f) -. cs.(k)
+  done
+
+(* Can every constraint still hold for some completion of the groups at
+   [depth..]?  A [Le] constraint needs its interval's low end, a [Ge]
+   one its high end. *)
+let feasible_possible cp values depth =
+  let lo = cp.smin.(depth) and hi = cp.smax.(depth) in
+  let ncons = Array.length cp.cbound in
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < ncons do
+    let le = cp.cle.(!k) in
+    let acc = ref 0.0 in
+    for t = cp.cstart.(!k) to cp.cstart.(!k + 1) - 1 do
+      let f1 = cp.tf1.(t) and f2 = cp.tf2.(t) in
+      let v1 = values.(f1) in
+      if f2 < 0 then acc := !acc +. v1 +. if le then lo.(f1) else hi.(f1)
+      else begin
+        let v2 = values.(f2) in
+        let a1 = v1 +. lo.(f1) and b1 = v1 +. hi.(f1) in
+        let a2 = v2 +. lo.(f2) and b2 = v2 +. hi.(f2) in
+        acc :=
+          !acc
+          +.
+          if le then interval_min_product a1 b1 a2 b2
+          else interval_max_product a1 b1 a2 b2
+      end
+    done;
+    ok :=
+      if le then !acc <= cp.cbound.(!k) +. 1e-9
+      else !acc >= cp.cbound.(!k) -. 1e-9;
+    incr k
+  done;
+  !ok
+
+(* Lower bound on the objective terms over all completions of the
+   groups at [depth..]: the same interval arithmetic as constraint
+   propagation, so the prune stays admissible. *)
+let[@inline] oterm_lb cp values depth =
+  let lo = cp.smin.(depth) and hi = cp.smax.(depth) in
+  let acc = ref 0.0 in
+  for t = cp.cstart.(Array.length cp.cbound) to Array.length cp.tf1 - 1 do
+    let f1 = cp.tf1.(t) and f2 = cp.tf2.(t) in
+    let v1 = values.(f1) in
+    if f2 < 0 then acc := !acc +. v1 +. lo.(f1)
+    else begin
+      let v2 = values.(f2) in
+      acc :=
+        !acc
+        +. interval_min_product (v1 +. lo.(f1)) (v1 +. hi.(f1))
+             (v2 +. lo.(f2)) (v2 +. hi.(f2))
+    end
+  done;
+  !acc
 
 (* Per-task search state.  Every subtree task owns a private copy of
-   the assignment and the tracked constraint factors (they are mutated
-   in place along the DFS), plus local statistics that are folded into
-   the shared totals when the task finishes. *)
+   the assignment and the factor values (they are mutated in place
+   along the DFS), plus local statistics that are folded into the
+   shared totals when the task finishes. *)
 type state = {
   x : bool array;
-  tracked : (constr * tracked list) array;
-  oterms : tracked list;  (* extra objective terms, also in [factors] *)
-  factors : factor array;
+  values : float array;  (* each factor's partial value *)
+  objs : float array;  (* separable objective of the path, per depth *)
   mutable snodes : int;
   mutable sflushed : int; (* nodes already reported to the shared total *)
   mutable spruned_bound : int;
@@ -179,19 +341,10 @@ let m_tasks =
 exception Cancelled
 
 let validate_terms p terms =
-  let check_lin l =
-    List.iter
-      (fun (j, _) ->
-        if j < 0 || j >= p.nvars then
-          invalid_arg "Binlp: objective term index out of range")
-      l.coeffs
-  in
-  List.iter
-    (function
-      | Lin l -> check_lin l
-      | Prod (l1, l2) ->
-          check_lin l1;
-          check_lin l2)
+  List.iteri
+    (fun k ->
+      check_term p.nvars ~range_msg:"Binlp: objective term index out of range"
+        ~where:(Printf.sprintf "objective term %d" k))
     terms
 
 (* The canonical leaf objective: the separable part summed in index
@@ -218,7 +371,6 @@ let solve ?(node_limit = 20_000_000) ?(runner = inline_runner)
   let gmin_obj g = List.fold_left (fun acc j -> min acc p.objective.(j)) 0.0 g in
   let gkey g = (gmin_obj g, List.fold_left min max_int g) in
   Array.sort (fun a b -> compare (gkey a) (gkey b)) garr;
-  let groups = Array.to_list garr in
   let gmin = Array.map gmin_obj garr in
   let suffix_obj = Array.make (ngroups + 1) 0.0 in
   for i = ngroups - 1 downto 0 do
@@ -239,81 +391,19 @@ let solve ?(node_limit = 20_000_000) ?(runner = inline_runner)
   in
   let neg_opts = part (fun j -> p.objective.(j) < 0.0) in
   let rest_opts = part (fun j -> p.objective.(j) >= 0.0) in
-  let make_factor l =
-    let mins = Array.make ngroups 0.0 and maxs = Array.make ngroups 0.0 in
-    List.iteri
-      (fun gi g ->
-        let contribs = 0.0 :: List.map (fun j -> lin_coeff l j) g in
-        mins.(gi) <- List.fold_left min infinity contribs;
-        maxs.(gi) <- List.fold_left max neg_infinity contribs)
-      groups;
-    let smin = Array.make (ngroups + 1) 0.0 in
-    let smax = Array.make (ngroups + 1) 0.0 in
-    for i = ngroups - 1 downto 0 do
-      smin.(i) <- smin.(i + 1) +. mins.(i);
-      smax.(i) <- smax.(i + 1) +. maxs.(i)
-    done;
-    { lin = l; value = l.const; smin; smax }
-  in
+  let cp = compile p objective_terms garr in
+  let no_oterms = objective_terms = [] in
   let make_state () =
-    let mk_tracked = function
-      | Lin l -> TLin (make_factor l)
-      | Prod (l1, l2) -> TProd (make_factor l1, make_factor l2)
-    in
-    let tracked =
-      Array.of_list
-        (List.map (fun c -> (c, List.map mk_tracked c.terms)) p.constraints)
-    in
-    let oterms = List.map mk_tracked objective_terms in
-    let factors_of =
-      List.concat_map (function
-        | TLin f -> [ f ]
-        | TProd (f1, f2) -> [ f1; f2 ])
-    in
-    let factors =
-      Array.of_list
-        (List.concat_map (fun (_, ts) -> factors_of ts) (Array.to_list tracked)
-        @ factors_of oterms)
-    in
     {
       x = Array.make p.nvars false;
-      tracked;
-      oterms;
-      factors;
+      values = Array.copy cp.init;
+      objs = Array.make (ngroups + 1) 0.0;
       snodes = 0;
       sflushed = 0;
       spruned_bound = 0;
       spruned_validity = 0;
       sincumbents = 0;
     }
-  in
-  let feasible_possible st depth =
-    Array.for_all
-      (fun (c, ts) ->
-        let lo = ref 0.0 and hi = ref 0.0 in
-        List.iter
-          (fun t ->
-            match t with
-            | TLin f ->
-                lo := !lo +. f.value +. f.smin.(depth);
-                hi := !hi +. f.value +. f.smax.(depth)
-            | TProd (f1, f2) ->
-                let i1 = (f1.value +. f1.smin.(depth), f1.value +. f1.smax.(depth)) in
-                let i2 = (f2.value +. f2.smin.(depth), f2.value +. f2.smax.(depth)) in
-                lo := !lo +. interval_min_product i1 i2;
-                hi := !hi +. interval_max_product i1 i2)
-          ts;
-        match c.rel with
-        | Le -> !lo <= c.bound +. 1e-9
-        | Ge -> !hi >= c.bound -. 1e-9)
-      st.tracked
-  in
-  let apply_choice st j sign =
-    Array.iter
-      (fun f ->
-        let c = lin_coeff f.lin j in
-        if c <> 0.0 then f.value <- f.value +. (sign *. c))
-      st.factors
   in
   (* Shared solver state: the atomic incumbent (CAS below), a cached
      copy of its objective for the per-node bound read, the cooperative
@@ -349,24 +439,6 @@ let solve ?(node_limit = 20_000_000) ?(runner = inline_runner)
       Atomic.set limit_hit true;
       raise Cancelled
     end
-  in
-  (* Lower bound on the extra objective terms over all completions of
-     the groups at [depth..] — same interval arithmetic as constraint
-     propagation, so the prune stays admissible. *)
-  let oterm_lb st depth =
-    List.fold_left
-      (fun acc t ->
-        match t with
-        | TLin f -> acc +. f.value +. f.smin.(depth)
-        | TProd (f1, f2) ->
-            let i1 =
-              (f1.value +. f1.smin.(depth), f1.value +. f1.smax.(depth))
-            in
-            let i2 =
-              (f2.value +. f2.smin.(depth), f2.value +. f2.smax.(depth))
-            in
-            acc +. interval_min_product i1 i2)
-      0.0 st.oterms
   in
   let offer st =
     let obj = leaf_objective p.objective objective_terms st.x in
@@ -407,35 +479,42 @@ let solve ?(node_limit = 20_000_000) ?(runner = inline_runner)
     in
     attempt ()
   in
-  let rec dfs st depth obj =
+  let rec dfs st depth =
     note_node st;
+    let obj = st.objs.(depth) in
     (* Strictly-worse prune only: a subtree whose bound ties the
        incumbent may still hold an equal-objective, lexicographically
        smaller assignment, and the tie-break must find it. *)
     let lb =
-      match st.oterms with
-      | [] -> obj +. suffix_obj.(depth)
-      | _ -> obj +. suffix_obj.(depth) +. oterm_lb st depth
+      if no_oterms then obj +. suffix_obj.(depth)
+      else obj +. suffix_obj.(depth) +. oterm_lb cp st.values depth
     in
     if lb > Atomic.get best_obj +. 1e-12 then
       st.spruned_bound <- st.spruned_bound + 1
-    else if not (feasible_possible st depth) then
+    else if not (feasible_possible cp st.values depth) then
       st.spruned_validity <- st.spruned_validity + 1
     else if depth = ngroups then begin
       if List.for_all (check_constr st.x) p.constraints then offer st
     end
     else begin
-      let try_member j =
-        st.x.(j) <- true;
-        apply_choice st j 1.0;
-        dfs st (depth + 1) (obj +. p.objective.(j));
-        apply_choice st j (-1.0);
-        st.x.(j) <- false
-      in
-      Array.iter try_member neg_opts.(depth);
-      dfs st (depth + 1) obj;
-      Array.iter try_member rest_opts.(depth)
+      let neg = neg_opts.(depth) in
+      for k = 0 to Array.length neg - 1 do
+        try_member st depth neg.(k)
+      done;
+      st.objs.(depth + 1) <- obj;
+      dfs st (depth + 1);
+      let rest = rest_opts.(depth) in
+      for k = 0 to Array.length rest - 1 do
+        try_member st depth rest.(k)
+      done
     end
+  and try_member st depth j =
+    st.x.(j) <- true;
+    apply cp st.values j;
+    st.objs.(depth + 1) <- st.objs.(depth) +. p.objective.(j);
+    dfs st (depth + 1);
+    unapply cp st.values j;
+    st.x.(j) <- false
   in
   (* Frontier split: peel off the shallowest prefix of groups whose
      option cross-product yields enough independent subtree tasks to
@@ -489,12 +568,13 @@ let solve ?(node_limit = 20_000_000) ?(runner = inline_runner)
           if j < 0 then acc
           else begin
             st.x.(j) <- true;
-            apply_choice st j 1.0;
+            apply cp st.values j;
             acc +. p.objective.(j)
           end)
         0.0 prefix
     in
-    (try dfs st frontier_depth obj with Cancelled -> ());
+    st.objs.(frontier_depth) <- obj;
+    (try dfs st frontier_depth with Cancelled -> ());
     commit st
   in
   let status () =

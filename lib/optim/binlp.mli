@@ -115,14 +115,20 @@ val solve :
     stays admissible; with an empty list the search (including node
     counts and the tie-break) is bit-identical to the plain linear
     solve.  The reported [solution.objective] includes the terms.
+    The problem is compiled once per solve into flat arrays shared by
+    every subtree task, so branching, propagation and bounding walk no
+    list and allocate nothing; node counts and the winner are those of
+    the plain list-based search.
     @raise Invalid_argument on malformed input (overlapping groups,
-    indices out of range). *)
+    indices out of range) or a non-finite objective entry,
+    coefficient, constant or bound; the message names the field and
+    where it is. *)
 
 val brute_force : ?objective_terms:term list -> problem -> solution option
 (** Reference implementation enumerating every SOS1-respecting
     assignment, applying the same tie-break rule (and the same
-    [objective_terms] semantics) as {!solve}; for testing on small
-    instances. *)
+    [objective_terms] semantics and input checks) as {!solve}; for
+    testing on small instances. *)
 
 val eval_lin : lin -> bool array -> float
 val eval_constr_lhs : constr -> bool array -> float

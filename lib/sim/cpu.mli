@@ -38,9 +38,18 @@ val create : ?shift_stall:int -> Arch.Config.t -> Isa.Program.t -> mem_size:int 
     @raise Invalid_argument if the configuration is invalid. *)
 
 val reinit : t -> unit
-(** Reset architectural state (registers, pc, icc, window state) and
-    reload the data image, but keep cache contents warm.  Used to model
-    repeated executions of the same application. *)
+(** Reset architectural state and reload the data image, but keep cache
+    contents warm.  Used to model repeated executions of the same
+    application.
+
+    Contract: afterwards the machine is in exactly the state {!create}
+    leaves, caches (and the profile, see {!reset_profile}) aside:
+    registers zeroed, [cwp] 0 with one resident window, pc at the entry,
+    condition codes cleared, memory zeroed with the data image reloaded
+    and [%sp] at [mem_size - 128].  Caches only ever change timing, so a
+    run after [reinit] executes the same instructions, makes the same
+    accesses and returns the same checksum as a run after {!create};
+    [Pricer.record] relies on this to execute one epoch for two. *)
 
 val reconfigure :
   ?shift_stall:int -> ?keep_caches:bool -> t -> Arch.Config.t -> unit

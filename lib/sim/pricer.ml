@@ -221,8 +221,7 @@ let segments text tape bounds emit =
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 
-let record ?(mem_size = Machine.default_mem_size) ?max_insns
-    ?(reinit = Cpu.reinit) prog =
+let record ?(mem_size = Machine.default_mem_size) ?max_insns ?reinit prog =
   Obs.Span.with_span ~cat:"sim" "sim.record" @@ fun span ->
   Obs.Metrics.Counter.incr m_records;
   let cpu = Cpu.create Arch.Config.base prog ~mem_size in
@@ -248,10 +247,19 @@ let record ?(mem_size = Machine.default_mem_size) ?max_insns
     }
   in
   let cold = epoch () in
-  Cpu.reset_profile cpu;
-  reinit cpu;
-  let warm = epoch ~like:cold.tape () in
-  let warm = if warm = cold then cold else warm in
+  (* [Cpu.reinit] restores the state [Cpu.create] left and keeps only
+     the caches, which the tape does not see: the warm epoch would
+     execute exactly as the cold one did.  Only a caller's own [reinit]
+     can make it differ. *)
+  let warm =
+    match reinit with
+    | None -> cold
+    | Some reinit ->
+        Cpu.reset_profile cpu;
+        reinit cpu;
+        let warm = epoch ~like:cold.tape () in
+        if warm = cold then cold else warm
+  in
   let tr =
     {
       text;

@@ -7,8 +7,9 @@
     through the cache geometry and policy, and window traps, which
     follow the save/restore sequence through the register-window count.
 
-    {!record} executes a program once per epoch (cold, then warm) and
-    keeps what is configuration-invariant in a {!Tape}.
+    {!record} executes a program once and keeps what is
+    configuration-invariant in a {!Tape}, for the cold and the warm
+    epoch alike.
     {!price_phased} rebuilds the {!Machine.run_phased} result for any
     schedule of configurations from the tape: the epochs are cut into
     segments at the switch boundaries, each segment's static cycles come
@@ -41,11 +42,16 @@ val record :
   ?reinit:(Cpu.t -> unit) ->
   Isa.Program.t ->
   trace
-(** Execute both epochs on {!Arch.Config.base} and record them.
-    [max_insns] is each epoch's budget, as in {!Cpu.run}.  [reinit]
-    prepares the warm epoch (default {!Cpu.reinit}); a [reinit] that
-    perturbs the machine models an application whose repeated
-    executions diverge.  Counts [sim.pricer.records].
+(** Record the program's cold and warm epochs on {!Arch.Config.base}.
+    Without [reinit] only the cold epoch executes and also serves as the
+    warm one: {!Cpu.reinit}, which prepares every warm epoch the
+    simulator runs, restores exactly the state {!Cpu.create} leaves
+    apart from the caches, and cache contents never change what
+    executes, so the warm epoch's tape, checksum and instruction count
+    equal the cold epoch's.  With [reinit] the warm epoch executes too,
+    prepared by [reinit]; one that perturbs the machine models an
+    application whose repeated executions diverge.  [max_insns] is each
+    epoch's budget, as in {!Cpu.run}.  Counts [sim.pricer.records].
     @raise Cpu.Budget_exhausted, Cpu.Error or Memory.Fault as the
     execution does. *)
 

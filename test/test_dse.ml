@@ -86,6 +86,45 @@ let test_formulate_structure () =
   (* no replacement vars in dims: couplings vanish; 2 resource rows *)
   check_int "2 constraints" 2 (List.length p.Optim.Binlp.constraints)
 
+(* A non-finite measured delta in any field is rejected by name, for
+   the static and the schedule formulation. *)
+let test_formulate_non_finite () =
+  let m = Lazy.force dcache_model in
+  List.iter
+    (fun (field, poison) ->
+      let rows =
+        List.mapi
+          (fun k (r : Dse.Measure.row) ->
+            if k = 3 then { r with Dse.Measure.deltas = poison r.Dse.Measure.deltas }
+            else r)
+          m.Dse.Measure.rows
+      in
+      let bad = Dse.Measure.with_rows m rows in
+      List.iter
+        (fun (fn, f) ->
+          match f () with
+          | exception Invalid_argument msg ->
+              check_bool
+                (Printf.sprintf "%s: %S names %s" fn msg field)
+                true
+                (Str.string_match
+                   (Str.regexp (Printf.sprintf ".*non-finite measured delta %s" field))
+                   msg 0)
+          | _ -> Alcotest.failf "%s accepted a non-finite %s" fn field)
+        [
+          ("make", fun () -> ignore (Dse.Formulate.make Dse.Cost.runtime_weights bad));
+          ( "make_schedule",
+            fun () ->
+              ignore
+                (Dse.Leon2.S.Formulate.make_schedule ~reps:2
+                   ~weights:Dse.Cost.runtime_weights [ m; bad ]) );
+        ])
+    [
+      ("rho", fun d -> { d with Dse.Cost.rho = Float.nan });
+      ("lambda", fun d -> { d with Dse.Cost.lambda = Float.infinity });
+      ("beta", fun d -> { d with Dse.Cost.beta = Float.neg_infinity });
+    ]
+
 let full_model = lazy (Dse.Measure.build Apps.Registry.blastn)
 
 let test_formulate_full () =
@@ -267,6 +306,7 @@ let () =
       ( "formulate",
         [
           Alcotest.test_case "dcache structure" `Quick test_formulate_structure;
+          Alcotest.test_case "non-finite delta rejected" `Quick test_formulate_non_finite;
           Alcotest.test_case "full structure" `Quick test_formulate_full;
           Alcotest.test_case "prediction additivity" `Quick test_formulate_prediction_additivity;
           Alcotest.test_case "product prediction" `Quick test_formulate_product_prediction;

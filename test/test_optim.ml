@@ -235,6 +235,48 @@ let test_binlp_overlapping_groups_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+let contains s sub =
+  match Str.search_forward (Str.regexp_string sub) s 0 with
+  | _ -> true
+  | exception Not_found -> false
+
+(* A non-finite number anywhere in the input is rejected by name, by
+   the solver and the brute-force reference alike. *)
+let test_binlp_non_finite () =
+  let lin ?(a = 1.0) ?(c = 0.0) () = { Optim.Binlp.coeffs = [ (0, a) ]; const = c } in
+  let p ?(obj = 1.0) ?(l = lin ()) ?(bound = 1.0) () =
+    blp 2 [| obj; -1.0 |] [ Optim.Binlp.linear l Optim.Binlp.Le bound ]
+  in
+  let cases v =
+    [
+      ("objective entry", p ~obj:v (), []);
+      ("coefficient of x0 in constraint 0", p ~l:(lin ~a:v ()) (), []);
+      ("constant in constraint 0", p ~l:(lin ~c:v ()) (), []);
+      ("bound of constraint 0", p ~bound:v (), []);
+      ( "coefficient of x0 in objective term 0",
+        p (),
+        [ Optim.Binlp.Prod (lin (), lin ~a:v ()) ] );
+      ("constant in objective term 0", p (), [ Optim.Binlp.Lin (lin ~c:v ()) ]);
+    ]
+  in
+  List.iter
+    (fun v ->
+      List.iter
+        (fun (field, p, objective_terms) ->
+          let expect who f =
+            match f () with
+            | exception Invalid_argument msg ->
+                check_bool
+                  (Printf.sprintf "%s, %g: %S names %s" who v msg field)
+                  true (contains msg field)
+            | _ -> Alcotest.failf "%s accepted %g in the %s" who v field
+          in
+          expect "solve" (fun () -> ignore (Optim.Binlp.solve ~objective_terms p));
+          expect "brute_force" (fun () ->
+              ignore (Optim.Binlp.brute_force ~objective_terms p)))
+        (cases v))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 (* Random differential test against brute force. *)
 let gen_problem =
   let open QCheck.Gen in
@@ -420,6 +462,7 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_binlp_infeasible;
           Alcotest.test_case "forced cost" `Quick test_binlp_forced_positive_cost;
           Alcotest.test_case "overlap rejected" `Quick test_binlp_overlapping_groups_rejected;
+          Alcotest.test_case "non-finite input rejected" `Quick test_binlp_non_finite;
           Alcotest.test_case "vs brute force (qcheck)" `Quick test_binlp_vs_brute_force;
           Alcotest.test_case "52-variable scale" `Quick test_binlp_52var_scale;
           Alcotest.test_case "lex tie-break" `Quick test_binlp_tiebreak_lex;

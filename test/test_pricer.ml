@@ -60,6 +60,28 @@ let test_measure_configs (app : Apps.Registry.t) () =
         configs)
     targets
 
+(* One executed epoch serves as both: a default recording prices every
+   measured configuration bit-identically to one that executes the
+   warm epoch too (an explicit [~reinit]), for every app. *)
+let test_one_epoch () =
+  List.iter
+    (fun (app : Apps.Registry.t) ->
+      let prog = Lazy.force app.Apps.Registry.program in
+      let one = Sim.Pricer.record prog in
+      let both = Sim.Pricer.record ~reinit:Sim.Cpu.reinit prog in
+      List.iter
+        (fun (target, configs) ->
+          List.iteri
+            (fun k (config, shift_stall) ->
+              let reps = app.Apps.Registry.reps in
+              Alcotest.check result
+                (Printf.sprintf "%s %s config %d" app.Apps.Registry.name target k)
+                (Sim.Pricer.price ~reps ~shift_stall both config)
+                (Sim.Pricer.price ~reps ~shift_stall one config))
+            configs)
+        targets)
+    (Apps.Registry.all @ Apps.Extra.all)
+
 (* The probes themselves: whole-run evaluation goes through the pricer,
    and agrees with the simulator-backed [run_app]. *)
 let test_probe_wiring () =
@@ -641,6 +663,8 @@ let () =
           Alcotest.test_case "icache walk" `Quick test_icache_walk;
           Alcotest.test_case "icc hold at a branch target" `Quick
             test_icc_at_branch_target;
+          Alcotest.test_case "one epoch = both epochs, every app" `Quick
+            test_one_epoch;
         ] );
       ( "phased",
         [

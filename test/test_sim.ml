@@ -643,6 +643,68 @@ let test_machine_warm_epoch_cache_state () =
   check_int "instructions scale with reps" (3 * 2)
     r.Sim.Machine.profile.Sim.Profiler.instructions
 
+(* Cpu.reinit's contract: the state Cpu.create leaves, caches aside.
+   After a run to halt and a reinit, a second run records the same
+   tape and checksum as a fresh machine's first run; restarting the
+   caches too makes the profile identical as well. *)
+let test_reinit_is_create () =
+  let deep =
+    let a = Isa.Asm.create () in
+    factorial_program 12 a;
+    Isa.Asm.finish a ~entry:0
+  in
+  (* Branches on the condition codes before setting any, and halts
+     three frames deep with Z set after a store through %sp: a reinit
+     that kept the condition codes or the window state would change
+     the second run's branch or its stack address. *)
+  let mid_frame =
+    let a = Isa.Asm.create () in
+    Isa.Asm.bcc a Isa.Insn.Eq "skip";
+    Isa.Asm.emit a Isa.Insn.Nop;
+    Isa.Asm.label a "skip";
+    for _ = 1 to 3 do
+      Isa.Asm.emit a
+        (Isa.Insn.Save { rd = Isa.Reg.sp; rs1 = Isa.Reg.sp; op2 = Isa.Insn.Imm (-96) })
+    done;
+    Isa.Asm.emit a
+      (Isa.Insn.Store
+         { width = Isa.Insn.Word; rs = Isa.Reg.sp; rs1 = Isa.Reg.sp; op2 = Isa.Insn.Imm 64 });
+    Isa.Asm.emit a (alu Isa.Insn.Sub ~cc:true o0 Isa.Reg.sp (Isa.Insn.Reg Isa.Reg.sp));
+    Isa.Asm.emit a Isa.Insn.Halt;
+    Isa.Asm.finish a ~entry:0
+  in
+  let mem_size = Sim.Machine.default_mem_size in
+  let recorded cpu =
+    let rc = Sim.Tape.recorder () in
+    Sim.Cpu.record_into cpu rc;
+    Sim.Cpu.reset_profile cpu;
+    Sim.Cpu.run cpu;
+    (Sim.Tape.finish rc, Sim.Profiler.copy (Sim.Cpu.profile cpu), Sim.Cpu.result cpu)
+  in
+  List.iter
+    (fun (name, prog) ->
+      let tape, profile, checksum = recorded (Sim.Cpu.create base prog ~mem_size) in
+      let rerun ~restart_caches =
+        let cpu = Sim.Cpu.create base prog ~mem_size in
+        Sim.Cpu.run cpu;
+        Sim.Cpu.reinit cpu;
+        if restart_caches then Sim.Cpu.reconfigure cpu base;
+        recorded cpu
+      in
+      let warm_tape, _, warm_checksum = rerun ~restart_caches:false in
+      check_bool (name ^ ": warm tape = fresh tape") true (warm_tape = tape);
+      check_int (name ^ ": warm checksum") checksum warm_checksum;
+      let cold_tape, cold_profile, cold_checksum = rerun ~restart_caches:true in
+      check_bool (name ^ ": tape") true (cold_tape = tape);
+      check_bool (name ^ ": profile") true (cold_profile = profile);
+      check_int (name ^ ": checksum") checksum cold_checksum)
+    (("factorial 12 (window traps)", deep)
+    :: ("halts mid-frame", mid_frame)
+    :: List.map
+         (fun (app : Apps.Registry.t) ->
+           (app.Apps.Registry.name, Lazy.force app.Apps.Registry.program))
+         [ Apps.Registry.frag; Apps.Registry.drr; Apps.Extra.qsort ])
+
 let () =
   Alcotest.run "sim"
     [
@@ -715,5 +777,7 @@ let () =
           Alcotest.test_case "epoch independence" `Quick test_machine_epoch_independence;
           Alcotest.test_case "warm epoch cache state" `Quick
             test_machine_warm_epoch_cache_state;
+          Alcotest.test_case "reinit restores the created state" `Quick
+            test_reinit_is_create;
         ] );
     ]
