@@ -30,21 +30,21 @@ let fig4 () = Dse.Report.print_fig4 ppf (Dse.Report.run_fig4 ())
 let fig5 () = Dse.Report.print_fig5 ppf (Dse.Report.run_fig5 ())
 
 let fig6 () =
-  Dse.Report.print_fig6 ppf (Dse.Measure.build Apps.Registry.blastn)
+  Dse.Report.print_fig6 ppf (Dse.Leon2.Measure.build Apps.Registry.blastn)
 
 let fig7 () = Dse.Report.print_fig7 ppf (Dse.Report.run_fig7 ())
 
 let ablation () =
-  Dse.Ablation.print_noise ppf
-    (Dse.Ablation.noise_study ~weights:Dse.Cost.resource_weights
+  Dse.Leon2.Ablation.print_noise ppf
+    (Dse.Leon2.Ablation.noise_study ~weights:Dse.Cost.resource_weights
        Apps.Registry.blastn);
   Format.printf "@.";
-  Dse.Ablation.print_variants ppf
-    (Dse.Ablation.variant_study ~weights:Dse.Cost.runtime_weights
-       (Dse.Measure.build Apps.Registry.frag));
+  Dse.Leon2.Ablation.print_variants ppf
+    (Dse.Leon2.Ablation.variant_study ~weights:Dse.Cost.runtime_weights
+       (Dse.Leon2.Measure.build Apps.Registry.frag));
   Format.printf "@.";
-  Dse.Ablation.print_independence ppf
-    (Dse.Ablation.independence_study ~weights:Dse.Cost.runtime_weights)
+  Dse.Leon2.Ablation.print_independence ppf
+    (Dse.Leon2.Ablation.independence_study ~weights:Dse.Cost.runtime_weights)
 
 let energy () =
   Format.printf
@@ -72,10 +72,10 @@ let perf () =
     Test.make ~name:"minic: compile BLASTN" (Staged.stage (fun () ->
         ignore (Minic.Codegen.compile Apps.Blastn.program)))
   in
-  let model = Dse.Measure.build ~dims:Arch.Param.dcache_size_dims Apps.Registry.blastn in
+  let model = Dse.Leon2.Measure.build ~dims:Arch.Param.dcache_size_dims Apps.Registry.blastn in
   let solver =
     Test.make ~name:"binlp: dcache model solve" (Staged.stage (fun () ->
-        ignore (Optim.Binlp.solve (Dse.Formulate.make Dse.Cost.runtime_only model))))
+        ignore (Optim.Binlp.solve (Dse.Leon2.Formulate.make Dse.Cost.runtime_only model))))
   in
   let cache =
     let c =
@@ -105,7 +105,7 @@ let convex () =
     "Convex recast study (paper future work): McCormick + LP-based B&B vs      exact combinatorial B&B@.";
   List.iter
     (fun app ->
-      let model = Dse.Measure.build app in
+      let model = Dse.Leon2.Measure.build app in
       let s = Dse.Convex.run ~weights:Dse.Cost.runtime_weights model in
       Dse.Convex.print ppf s)
     Apps.Registry.all
@@ -118,17 +118,17 @@ let baselines () =
   List.iter
     (fun app ->
       let weights = Dse.Cost.runtime_weights in
-      let paper = Dse.Heuristic.paper_method ~weights app in
+      let paper = Dse.Leon2.Heuristic.paper_method ~weights app in
       let descent =
-        Dse.Heuristic.coordinate_descent
+        Dse.Leon2.Heuristic.coordinate_descent
           ~features:(Apps.Features.of_app app)
           ~weights app
       in
       let random56 =
-        Dse.Heuristic.random_search ~builds:paper.Dse.Heuristic.builds ~weights app
+        Dse.Leon2.Heuristic.random_search ~builds:paper.Dse.Leon2.Heuristic.builds ~weights app
       in
-      let random200 = Dse.Heuristic.random_search ~builds:200 ~weights app in
-      Dse.Heuristic.print_comparison ppf app.Apps.Registry.name
+      let random200 = Dse.Leon2.Heuristic.random_search ~builds:200 ~weights app in
+      Dse.Leon2.Heuristic.print_comparison ppf app.Apps.Registry.name
         [ paper; descent; random56; random200 ])
     Apps.Registry.all
 
@@ -137,10 +137,10 @@ let sched () =
     "Generic-domain study: DRR scheduler tuning under a 12 KB state budget      (the paper's 'other configuration management problems')@.";
   Format.printf "efficiency-first (weights 100, 1):@.";
   Dse.Sched_tuning.print_outcome ppf
-    (Dse.Sched_tuning.Tuner.optimize ~weights:[| 100.0; 1.0 |]);
+    (Dse.Sched_tuning.optimize ~weights:[| 100.0; 1.0 |]);
   Format.printf "memory-first (weights 1, 100):@.";
   Dse.Sched_tuning.print_outcome ppf
-    (Dse.Sched_tuning.Tuner.optimize ~weights:[| 1.0; 100.0 |])
+    (Dse.Sched_tuning.optimize ~weights:[| 1.0; 100.0 |])
 
 (* Static-vs-scheduled figure (ROADMAP item 2): phase-aware
    reconfiguration head to head with the static optimum on every
@@ -409,8 +409,14 @@ let cmd =
     Arg.(value & opt (some string) None & info [ "rev" ] ~doc ~docv:"REV")
   in
   let doc = "regenerate the paper's evaluation and gate on bench history" in
+  let exits =
+    Cmd.Exit.info 1 ~doc:"with $(b,--check), when an experiment regressed."
+    :: Cmd.Exit.info 2
+         ~doc:"on an unknown experiment or an unreadable history file."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "bench" ~doc)
+    (Cmd.info "bench" ~doc ~exits)
     Term.(
       const main $ names_arg $ check_arg $ history_arg $ rev_arg $ Obs_cli.term)
 

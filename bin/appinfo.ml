@@ -225,8 +225,13 @@ let names_arg =
 
 let cmd =
   let doc = "per-application static features and execution statistics" in
+  let exits =
+    Cmd.Exit.info 2 ~doc:"on an unknown application."
+    :: Cmd.Exit.info 4 ~doc:"with $(b,--lint), on error-level findings."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "appinfo" ~version:"1.0.0" ~doc)
+    (Cmd.info "appinfo" ~version:"1.0.0" ~doc ~exits)
     Term.(
       const run $ list_targets_arg $ target_arg $ lint_arg $ werror_arg
       $ static_arg $ names_arg $ Obs_cli.term)

@@ -85,7 +85,7 @@ let () =
   Format.printf "crc32 checksum: %#x (interpreter and simulator agree)@.@."
     got;
 
-  let outcome = Dse.Optimizer.run ~weights:Dse.Cost.runtime_weights app in
+  let outcome = Dse.Leon2.Optimizer.run ~weights:Dse.Cost.runtime_weights app in
   Format.printf "Recommended configuration for crc32:@.%a@.@." Arch.Config.pp
-    outcome.Dse.Optimizer.config;
-  Dse.Report.print_outcome_summary Format.std_formatter outcome
+    outcome.Dse.Leon2.Optimizer.config;
+  Dse.Leon2.Optimizer.print_outcome_summary Format.std_formatter outcome

@@ -13,12 +13,12 @@ let () =
   let mix = [ (Apps.Registry.drr, 0.6); (Apps.Registry.arith, 0.4) ] in
 
   Format.printf "Tuned for the 60/40 DRR/Arith mix:@.";
-  let combined = Dse.Multiapp.optimize ~weights mix in
-  Dse.Multiapp.print Format.std_formatter combined;
+  let combined = Dse.Leon2.Multiapp.optimize ~weights mix in
+  Dse.Leon2.Multiapp.print Format.std_formatter combined;
 
   let single app =
-    let o = Dse.Optimizer.run ~weights app in
-    o.Dse.Optimizer.config
+    let o = Dse.Leon2.Optimizer.run ~weights app in
+    o.Dse.Leon2.Optimizer.config
   in
   let evaluate name config =
     let change app =
@@ -32,4 +32,4 @@ let () =
   Format.printf "@.Cross-evaluation:@.";
   evaluate "tuned for drr" (single Apps.Registry.drr);
   evaluate "tuned for arith" (single Apps.Registry.arith);
-  evaluate "tuned for mix" combined.Dse.Multiapp.config
+  evaluate "tuned for mix" combined.Dse.Leon2.Multiapp.config

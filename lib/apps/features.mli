@@ -5,7 +5,7 @@
     instruction cache the whole program already fits in, or swapping
     multiplier variants under a program that never multiplies.  This
     module computes the features such arguments need from the source
-    AST and the compiled binary; {!Dse.Heuristic} uses them to prune
+    AST and the compiled binary; the DSE heuristics ({!Dse.Stack.Make}) use them to prune
     perturbations, and [appinfo] prints them. *)
 
 type mix = {

@@ -84,4 +84,4 @@ val m_pruned : Obs.Metrics.Counter.t
 val m_violations : Obs.Metrics.Counter.t
 (** [dse.bounds.violations] — simulated cycles observed outside the
     static bounds (an analysis or simulator bug; see
-    [Optimizer.verify]'s sanitizer and the fuzz oracles). *)
+    {!Stack.Make}'s verify-by-build sanitizer and the fuzz oracles). *)

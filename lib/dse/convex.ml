@@ -1,5 +1,5 @@
 type study = {
-  exact : Optimizer.outcome;
+  exact : Leon2.Optimizer.outcome;
   recast_selected : Arch.Param.var list;
   recast_config : Arch.Config.t;
   recast_actual : Cost.t;
@@ -10,17 +10,18 @@ type study = {
 }
 
 let run ~weights model =
-  let exact = Optimizer.run_with_model ~weights model in
-  let problem = Formulate.make weights model in
+  let exact = Leon2.Optimizer.run_with_model ~weights model in
+  let problem = Leon2.Formulate.make weights model in
   match Optim.Mccormick.solve problem with
   | None -> failwith "Convex.run: linearized model infeasible"
   | Some relaxed ->
-      let recast_selected = Formulate.vars_of_solution model relaxed in
+      let recast_selected = Leon2.Formulate.vars_of_solution model relaxed in
       let recast_config =
         Arch.Param.apply_all Arch.Config.base recast_selected
       in
       let recast_actual =
-        Engine.eval (Engine.default ()) model.Measure.app recast_config
+        Engine.eval_on (Engine.default ()) Target_leon2.probe
+          model.Leon2.Measure.app recast_config
       in
       {
         exact;
@@ -31,22 +32,22 @@ let run ~weights model =
           List.map (fun (v : Arch.Param.var) -> v.Arch.Param.index)
             recast_selected
           = List.map (fun (v : Arch.Param.var) -> v.Arch.Param.index)
-              exact.Optimizer.selected;
+              exact.Leon2.Optimizer.selected;
         recast_respects_truth = Optim.Binlp.check problem relaxed.Optim.Binlp.x;
         exact_nodes_hint = "combinatorial B&B (exact)";
         milp_nodes = Optim.Milp.stats_nodes ();
       }
 
 let print ppf s =
-  let name = s.exact.Optimizer.model.Measure.app.Apps.Registry.name in
+  let name = s.exact.Leon2.Optimizer.model.Leon2.Measure.app.Apps.Registry.name in
   Format.fprintf ppf "  %s:@." name;
-  Format.fprintf ppf "    exact pick:  %a@." Optimizer.pp_selected
-    s.exact.Optimizer.selected;
-  Format.fprintf ppf "    recast pick: %a@." Optimizer.pp_selected
+  Format.fprintf ppf "    exact pick:  %a@." Leon2.Optimizer.pp_selected
+    s.exact.Leon2.Optimizer.selected;
+  Format.fprintf ppf "    recast pick: %a@." Leon2.Optimizer.pp_selected
     s.recast_selected;
   Format.fprintf ppf
     "    agreement: %b; recast satisfies the true nonlinear constraints: %b@."
     s.agrees s.recast_respects_truth;
   Format.fprintf ppf
     "    exact actual: %a@.    recast actual: %a (LP-B&B nodes: %d)@." Cost.pp
-    s.exact.Optimizer.actual Cost.pp s.recast_actual s.milp_nodes
+    s.exact.Leon2.Optimizer.actual Cost.pp s.recast_actual s.milp_nodes

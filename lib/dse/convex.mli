@@ -10,7 +10,7 @@
     linear model believed — this study quantifies that. *)
 
 type study = {
-  exact : Optimizer.outcome;
+  exact : Leon2.Optimizer.outcome;
   recast_selected : Arch.Param.var list;
   recast_config : Arch.Config.t;
   recast_actual : Cost.t;
@@ -20,5 +20,5 @@ type study = {
   milp_nodes : int;
 }
 
-val run : weights:Cost.weights -> Measure.model -> study
+val run : weights:Cost.weights -> Leon2.Measure.model -> study
 val print : Format.formatter -> study -> unit

@@ -52,7 +52,9 @@ let dynamic_nanojoules_per_event (config : Arch.Config.t) (p : Sim.Profiler.t) =
    execution profile: the energy model charges its per-event costs
    without a second simulation or resource elaboration. *)
 let measure app config =
-  let cost, profile = Engine.eval_profiled (Engine.default ()) app config in
+  let cost, profile =
+    Engine.eval_profiled_on (Engine.default ()) Target_leon2.probe app config
+  in
   let seconds = cost.Cost.seconds in
   let dynamic_mj = dynamic_nanojoules_per_event config profile /. 1e6 in
   let static_mw = static_milliwatts_of cost.Cost.resources in
@@ -75,7 +77,7 @@ type outcome = {
 (* Marginal energy delta of one decision variable, in percent of the
    base energy, measured against the same reference Measure uses. *)
 let epsilon app ~base (var : Arch.Param.var) =
-  let reference = Measure.reference_config var in
+  let reference = Leon2.Measure.reference_config var in
   let ref_m =
     if Arch.Config.equal reference Arch.Config.base then base
     else measure app reference
@@ -84,28 +86,28 @@ let epsilon app ~base (var : Arch.Param.var) =
   100.0 *. (m.millijoules -. ref_m.millijoules) /. base.millijoules
 
 let optimize ~weights app =
-  let model = Measure.build app in
+  let model = Leon2.Measure.build app in
   let base = measure app Arch.Config.base in
   let eps = Hashtbl.create 64 in
   List.iter
-    (fun (r : Measure.row) ->
-      Hashtbl.add eps r.Measure.var.Arch.Param.index
-        (epsilon app ~base r.Measure.var))
-    model.Measure.rows;
-  let objective (r : Measure.row) =
-    let d = r.Measure.deltas in
+    (fun (r : Leon2.Measure.row) ->
+      Hashtbl.add eps r.Leon2.Measure.var.Arch.Param.index
+        (epsilon app ~base r.Leon2.Measure.var))
+    model.Leon2.Measure.rows;
+  let objective (r : Leon2.Measure.row) =
+    let d = r.Leon2.Measure.deltas in
     (weights.w1 *. d.Cost.rho)
     +. (weights.w2 *. (d.Cost.lambda +. d.Cost.beta))
-    +. (weights.w3 *. Hashtbl.find eps r.Measure.var.Arch.Param.index)
+    +. (weights.w3 *. Hashtbl.find eps r.Leon2.Measure.var.Arch.Param.index)
   in
-  let problem = Formulate.make_custom ~objective model in
+  let problem = Leon2.Formulate.make_custom ~objective model in
   let solved =
     Optim.Binlp.solve ~runner:(Pool.solver_runner (Pool.default ())) problem
   in
   match solved.Optim.Binlp.best with
   | None -> failwith "Energy.optimize: infeasible"
   | Some solution ->
-      let selected = Formulate.vars_of_solution model solution in
+      let selected = Leon2.Formulate.vars_of_solution model solution in
       let config = Arch.Param.apply_all Arch.Config.base selected in
       let actual = measure app config in
       {
@@ -124,7 +126,7 @@ let print_outcome ppf o =
     (String.concat ", "
        (List.map
           (fun (k, v) -> k ^ "=" ^ v)
-          (Report.changed_params o.config)));
+          (Target_leon2.changed_params o.config)));
   Format.fprintf ppf
     "  base:   %.3f s, %.1f mJ (%.1f mW average)@." o.base.seconds
     o.base.millijoules o.base.average_milliwatts;

@@ -57,7 +57,7 @@ type value = {
 
 (* [Unfit] holds the (noised) resource estimate of a configuration that
    exceeds the device: a feasibility query needs no simulation, but a
-   later forced {!eval} upgrades the entry to [Full] by simulating with
+   later forced {!eval_on} upgrades the entry to [Full] by simulating with
    the saved resources. *)
 type entry = Pending | Unfit of Synth.Resource.t | Full of value
 
@@ -476,22 +476,6 @@ let eval_all_segments_on ?noise t probe ~phase ~segmented app configs =
         (fun config ->
           eval_segments_on_uncounted ?noise t probe ~phase ~segmented app
             config)
-
-(* The historical LEON2-typed entry points, now thin wrappers over the
-   probe-parametric API. *)
-
-let eval ?noise t app config = eval_on ?noise t Target_leon2.probe app config
-
-let eval_profiled ?noise t app config =
-  eval_profiled_on ?noise t Target_leon2.probe app config
-
-let eval_feasible ?noise t app config =
-  eval_feasible_on ?noise t Target_leon2.probe app config
-
-let eval_all ?noise t pairs = eval_all_on ?noise t Target_leon2.probe pairs
-
-let eval_all_feasible ?noise t app configs =
-  eval_all_feasible_on ?noise t Target_leon2.probe app configs
 
 let default_mutex = Mutex.create ()
 let default_engine = ref None

@@ -24,9 +24,8 @@
     Including the target name keeps two targets that happen to share a
     configuration encoding from ever colliding in the cache.
 
-    {b Targets.}  The [_on] family evaluates any backend through its
-    {!Target.probe}; the unsuffixed functions are the LEON2-typed
-    entry points, equivalent to passing [Target_leon2.probe].
+    {b Targets.}  Every entry point evaluates any backend through its
+    {!Target.probe}; LEON2 callers pass [Target_leon2.probe].
 
     {b Deduplication.}  Concurrent requests for an in-flight key wait
     for the winner's result instead of recomputing, and the batch APIs
@@ -65,7 +64,9 @@ val clear : t -> unit
 val eval_on :
   ?noise:float -> t -> 'c Target.probe -> Apps.Registry.t -> 'c -> Cost.t
 (** Synthesize and run one configuration of an arbitrary target,
-    memoized under the probe's target name.
+    memoized under the probe's target name.  [noise] is the
+    deterministic LUT measurement-noise amplitude (fraction of the
+    device); see {!Stack.Make.Measure}.
     @raise Invalid_argument on structurally invalid configurations. *)
 
 val eval_profiled_on :
@@ -75,29 +76,17 @@ val eval_profiled_on :
   Apps.Registry.t ->
   'c ->
   Cost.t * Sim.Profiler.t
+(** Like {!eval_on} but also returns the execution profile of the
+    (memoized) simulation — the energy model charges per-event costs
+    from it without a second run. *)
 
 val eval_feasible_on :
   ?noise:float -> t -> 'c Target.probe -> Apps.Registry.t -> 'c -> Cost.t option
 (** [None] when the configuration is invalid per the probe or exceeds
-    the probe's device budget. *)
-
-val eval_segments_on :
-  ?noise:float ->
-  t ->
-  'c Target.probe ->
-  phase:string ->
-  segmented:(Apps.Registry.t -> 'c -> float * Sim.Profiler.t * Sim.Profiler.t list) ->
-  Apps.Registry.t ->
-  'c ->
-  Cost.t * Sim.Profiler.t list
-(** Per-phase measurement: like {!eval_on}, but the simulation is the
-    caller-supplied [segmented] function returning [(seconds,
-    whole-run profile, per-phase profiles)], and the memo key is
-    extended with [phase] — the segmentation digest (see
-    {!Sim.Phase.digest}) — so the same configuration's whole-run and
-    per-phase measurements coexist in the cache, and two different
-    segmentations never collide.  [segmented] must be deterministic
-    for the [(phase, configuration)] pair. *)
+    the probe's device budget.  Resources are elaborated {e once} and
+    reused for both the feasibility check (on the un-noised estimate)
+    and the returned cost; over-capacity configurations are cached
+    without ever reaching the simulator. *)
 
 val eval_all_segments_on :
   ?noise:float ->
@@ -108,8 +97,16 @@ val eval_all_segments_on :
   Apps.Registry.t ->
   'c list ->
   (Cost.t * Sim.Profiler.t list) list
-(** Batch {!eval_segments_on} for one application, in input order,
-    with the same deduplication and pooling as {!eval_all}. *)
+(** Per-phase measurement of one application's configurations, in
+    input order, with the same deduplication and pooling as
+    {!eval_all_on}: like {!eval_on}, but the simulation is the
+    caller-supplied [segmented] function returning [(seconds,
+    whole-run profile, per-phase profiles)], and the memo key is
+    extended with [phase] — the segmentation digest (see
+    {!Sim.Phase.digest}) — so the same configuration's whole-run and
+    per-phase measurements coexist in the cache, and two different
+    segmentations never collide.  [segmented] must be deterministic
+    for the [(phase, configuration)] pair. *)
 
 type admission =
   | Infeasible  (** structurally invalid or exceeds the device *)
@@ -143,6 +140,9 @@ val eval_bounded_on :
 
 val eval_all_on :
   ?noise:float -> t -> 'c Target.probe -> (Apps.Registry.t * 'c) list -> Cost.t list
+(** Batch {!eval_on}, in input order.  Repeated requests are collapsed
+    before scheduling (counted as [dse.engine.inflight_dedup]) and the
+    distinct ones fan out on the pool. *)
 
 val eval_all_feasible_on :
   ?noise:float ->
@@ -151,35 +151,5 @@ val eval_all_feasible_on :
   Apps.Registry.t ->
   'c list ->
   Cost.t option list
-
-val eval : ?noise:float -> t -> Apps.Registry.t -> Arch.Config.t -> Cost.t
-(** Synthesize and run one configuration, memoized.  [noise] is the
-    deterministic LUT measurement-noise amplitude (fraction of the
-    device); see {!Measure}.
-    @raise Invalid_argument on structurally invalid configurations. *)
-
-val eval_profiled :
-  ?noise:float -> t -> Apps.Registry.t -> Arch.Config.t -> Cost.t * Sim.Profiler.t
-(** Like {!eval} but also returns the execution profile of the
-    (memoized) simulation — the energy model charges per-event costs
-    from it without a second run. *)
-
-val eval_feasible :
-  ?noise:float -> t -> Apps.Registry.t -> Arch.Config.t -> Cost.t option
-(** [None] when the configuration is structurally invalid or exceeds
-    the device.  Resources are elaborated {e once} and reused for both
-    the feasibility check (on the un-noised estimate, as
-    {!Synth.Estimate.feasible} judges it) and the returned cost;
-    over-capacity configurations are cached without ever reaching the
-    simulator. *)
-
-val eval_all :
-  ?noise:float -> t -> (Apps.Registry.t * Arch.Config.t) list -> Cost.t list
-(** Batch {!eval}, in input order.  Repeated requests are collapsed
-    before scheduling (counted as [dse.engine.inflight_dedup]) and the
-    distinct ones fan out on the pool. *)
-
-val eval_all_feasible :
-  ?noise:float -> t -> Apps.Registry.t -> Arch.Config.t list -> Cost.t option list
-(** Batch {!eval_feasible} for one application, in input order, with
-    the same deduplication and pooling as {!eval_all}. *)
+(** Batch {!eval_feasible_on} for one application, in input order,
+    with the same deduplication and pooling as {!eval_all_on}. *)

@@ -1,11 +1,8 @@
-(* The functorized stack instantiated for the paper's own platform.
-   The library's historical LEON2-typed modules ({!Measure},
-   {!Formulate}, {!Optimizer}, {!Exhaustive}, {!Heuristic}, {!Ablation},
-   {!Multiapp}) are re-exports of [S]'s submodules — one code path
-   serves every target.
+(* The functorized stack instantiated for the paper's own platform:
+   [Leon2.Measure], [Leon2.Optimizer], ... are the LEON2 pipeline.
 
-   No interface file on purpose: the module equalities (e.g.
-   [Measure.row = Leon2.S.Measure.row]) must stay visible for the
-   re-exporting interfaces to state them. *)
+   No interface file on purpose: the type equalities with
+   {!Target_leon2} ([config = Arch.Config.t], [var = Arch.Param.var])
+   must stay visible so LEON2 callers use the [Arch] types directly. *)
 
-module S = Stack.Make (Target_leon2)
+include Stack.Make (Target_leon2)

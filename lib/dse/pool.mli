@@ -1,11 +1,11 @@
 (** Persistent domain pool with work-stealing scheduling.
 
-    {!Parallel.map} used to spawn (and join) a fresh set of domains on
-    every call; model building, exhaustive sweeps and the evaluation
-    engine all fan out repeatedly, so domain start-up cost and the
-    risk of oversubscription grew with every new client.  This pool
-    spawns its worker domains once and keeps them parked on a
-    condition variable between batches.
+    Model building, exhaustive sweeps and the evaluation engine all
+    fan out repeatedly; spawning (and joining) a fresh set of domains
+    per call would pay domain start-up every time and risk
+    oversubscription with every new client.  This pool spawns its
+    worker domains once and keeps them parked on a condition variable
+    between batches.
 
     Scheduling is work-stealing: each worker owns a deque, submitted
     tasks are distributed round-robin, a worker pops its own newest
@@ -36,7 +36,7 @@ val create : ?workers:int -> unit -> t
 
 val default : unit -> t
 (** The shared process-wide pool, created on first use and joined via
-    [at_exit].  All library clients ({!Parallel.map}, {!Engine}) use
+    [at_exit].  All library clients (model building, {!Engine}) use
     this instance. *)
 
 val size : t -> int

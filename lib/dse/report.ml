@@ -52,17 +52,17 @@ let print_fig1 ppf =
 (* --- Figure 2 --- *)
 
 type fig2 = {
-  points : Exhaustive.point list;
-  optimal : Exhaustive.point;
+  points : Leon2.Exhaustive.point list;
+  optimal : Leon2.Exhaustive.point;
 }
 
 let run_fig2 app =
-  let points = Exhaustive.dcache_sweep app in
-  { points; optimal = Exhaustive.best_runtime points }
+  let points = Leon2.Exhaustive.geometry_sweep app in
+  { points; optimal = Leon2.Exhaustive.best_runtime points }
 
-let point_row ppf (p : Exhaustive.point) =
-  let d = p.Exhaustive.config.Arch.Config.dcache in
-  match p.Exhaustive.cost with
+let point_row ppf (p : Leon2.Exhaustive.point) =
+  let d = p.Leon2.Exhaustive.config.Arch.Config.dcache in
+  match p.Leon2.Exhaustive.cost with
   | None ->
       pf ppf "  %4d %8d %12s %7s %7s  (exceeds device BRAM)@." d.ways d.way_kb
         "-" "-" "-"
@@ -84,13 +84,13 @@ let print_fig2 ppf (f : fig2) =
 (* --- Figure 3 --- *)
 
 type fig3 = {
-  model : Measure.model;
-  outcome : Optimizer.outcome;
+  model : Leon2.Measure.model;
+  outcome : Leon2.Optimizer.outcome;
 }
 
 let run_fig3 app =
-  let model = Measure.build ~dims:Arch.Param.dcache_size_dims app in
-  let outcome = Optimizer.run_with_model ~weights:Cost.runtime_only model in
+  let model = Leon2.Measure.build ~dims:Arch.Param.dcache_size_dims app in
+  let outcome = Leon2.Optimizer.run_with_model ~weights:Cost.runtime_only model in
   { model; outcome }
 
 let config_row ppf (config : Arch.Config.t) (c : Cost.t) =
@@ -104,12 +104,12 @@ let print_fig3 ppf (f : fig3) =
   pf ppf "  evaluated one-at-a-time configurations:@.";
   pf ppf "  %4s %8s %12s %7s %7s@." "ways" "KB/way" "runtime(s)" "LUTs" "BRAM";
   List.iter
-    (fun (r : Measure.row) -> config_row ppf r.Measure.config r.Measure.cost)
-    f.model.Measure.rows;
+    (fun (r : Leon2.Measure.row) -> config_row ppf r.config r.cost)
+    f.model.Leon2.Measure.rows;
   pf ppf "  base configuration:@.";
-  config_row ppf Arch.Config.base f.model.Measure.base;
+  config_row ppf Arch.Config.base f.model.Leon2.Measure.base;
   pf ppf "  selected:@.";
-  config_row ppf f.outcome.Optimizer.config f.outcome.Optimizer.actual;
+  config_row ppf f.outcome.Leon2.Optimizer.config f.outcome.Leon2.Optimizer.actual;
   let pw, pk = Paper.figure3_selected in
   pf ppf "  paper selected: %dx%dKB@." pw pk
 
@@ -117,15 +117,15 @@ let print_fig3 ppf (f : fig3) =
 
 type fig4_row = {
   app : Apps.Registry.t;
-  exhaustive_best : Exhaustive.point option;
-  optimizer_pick : Optimizer.outcome;
+  exhaustive_best : Leon2.Exhaustive.point option;
+  optimizer_pick : Leon2.Optimizer.outcome;
 }
 
 let dcache_insensitive points =
   let seconds =
     List.filter_map
-      (fun (p : Exhaustive.point) ->
-        Option.map (fun c -> c.Cost.seconds) p.Exhaustive.cost)
+      (fun (p : Leon2.Exhaustive.point) ->
+        Option.map (fun c -> c.Cost.seconds) p.Leon2.Exhaustive.cost)
       points
   in
   match seconds with
@@ -136,14 +136,14 @@ let dcache_insensitive points =
 let run_fig4 () =
   List.map
     (fun app ->
-      let points = Exhaustive.dcache_sweep app in
+      let points = Leon2.Exhaustive.geometry_sweep app in
       let exhaustive_best =
         if dcache_insensitive points then None
-        else Some (Exhaustive.best_runtime points)
+        else Some (Leon2.Exhaustive.best_runtime points)
       in
-      let model = Measure.build ~dims:Arch.Param.dcache_size_dims app in
+      let model = Leon2.Measure.build ~dims:Arch.Param.dcache_size_dims app in
       let optimizer_pick =
-        Optimizer.run_with_model ~weights:Cost.runtime_only model
+        Leon2.Optimizer.run_with_model ~weights:Cost.runtime_only model
       in
       { app; exhaustive_best; optimizer_pick })
     [ Apps.Registry.drr; Apps.Registry.frag; Apps.Registry.arith ]
@@ -159,8 +159,8 @@ let print_fig4 ppf rows =
           pf ppf "  exhaustive best:@.";
           point_row ppf p);
       pf ppf "  optimizer pick:@.";
-      config_row ppf r.optimizer_pick.Optimizer.config
-        r.optimizer_pick.Optimizer.actual;
+      config_row ppf r.optimizer_pick.Leon2.Optimizer.config
+        r.optimizer_pick.Leon2.Optimizer.actual;
       match List.assoc_opt r.app.Apps.Registry.name
               (List.map (fun (n, sel, s) -> (n, (sel, s))) Paper.figure4)
       with
@@ -171,10 +171,6 @@ let print_fig4 ppf rows =
     rows
 
 (* --- Figures 5 and 7 --- *)
-
-let changed_params = Target_leon2.changed_params
-
-let print_outcome_summary = Leon2.S.Optimizer.print_outcome_summary
 
 let print_paper_summary ppf (s : Paper.opt_summary) =
   pf ppf "  paper %s: %s@." s.Paper.app
@@ -191,7 +187,7 @@ let print_paper_summary ppf (s : Paper.opt_summary) =
 
 let run_weighted weights =
   List.map
-    (fun app -> Optimizer.run ~weights app)
+    (fun app -> Leon2.Optimizer.run ~weights app)
     Apps.Registry.all
 
 let run_fig5 () = run_weighted Cost.runtime_weights
@@ -201,8 +197,8 @@ let print_weighted title paper ppf outcomes =
   pf ppf "%s@." title;
   List.iter
     (fun o ->
-      print_outcome_summary ppf o;
-      let name = o.Optimizer.model.Measure.app.Apps.Registry.name in
+      Leon2.Optimizer.print_outcome_summary ppf o;
+      let name = o.Leon2.Optimizer.model.Leon2.Measure.app.Apps.Registry.name in
       match List.find_opt (fun s -> s.Paper.app = name) paper with
       | Some s -> print_paper_summary ppf s
       | None -> ())
@@ -233,7 +229,7 @@ let fig6_index_of_label = function
 let run_fig6 model =
   List.map
     (fun ((label, _, _, _) as paper_row) ->
-      (Measure.row model (fig6_index_of_label label), paper_row))
+      (Leon2.Measure.row model (fig6_index_of_label label), paper_row))
     Paper.figure6
 
 let print_fig6 ppf model =
@@ -241,10 +237,10 @@ let print_fig6 ppf model =
   pf ppf "  %-18s %10s %6s %6s   %10s %6s %6s@." "parameter" "runtime" "LUT%"
     "BRAM%" "paper-rt" "LUT%" "BRAM%";
   List.iter
-    (fun ((r : Measure.row), (label, ps, plut, pbram)) ->
+    (fun ((r : Leon2.Measure.row), (label, ps, plut, pbram)) ->
       pf ppf "  %-18s %10.3f %5d%% %5d%%   %10.2f %5d%% %5d%%@." label
-        r.Measure.cost.Cost.seconds
-        (Synth.Resource.lut_percent_int r.Measure.cost.Cost.resources)
-        (Synth.Resource.bram_percent_int r.Measure.cost.Cost.resources)
+        r.Leon2.Measure.cost.Cost.seconds
+        (Synth.Resource.lut_percent_int r.Leon2.Measure.cost.Cost.resources)
+        (Synth.Resource.bram_percent_int r.Leon2.Measure.cost.Cost.resources)
         ps plut pbram)
     (run_fig6 model)

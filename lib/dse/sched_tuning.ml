@@ -26,52 +26,109 @@ let cycles_per_kb c =
 
 let measure c = [| cycles_per_kb c; float_of_int (state_bytes c) |]
 
-module Domain = struct
-  type nonrec config = config
+let name = "drr-scheduler-tuning"
 
-  let name = "drr-scheduler-tuning"
-  let base = base
-  let dimension_names = [| "cycles/KB served"; "state bytes" |]
-  let measure = measure
-  let feasible c = c.queues > 0 && c.slots > 0 && c.quantum > 0
+(* Alternative values per parameter; keeping the base value is
+   implicit. *)
+let groups =
+  let group label set values =
+    (label, List.map (fun v -> (string_of_int v, fun c -> set c v)) values)
+  in
+  [
+    group "queues" (fun c queues -> { c with queues }) [ 64; 128; 512 ];
+    group "slots" (fun c slots -> { c with slots }) [ 8; 32; 64 ];
+    group "quantum" (fun c quantum -> { c with quantum }) [ 100; 200; 800; 1600 ];
+  ]
 
-  type group = {
-    label : string;
-    options : (string * (config -> config)) list;
-  }
+(* The appliance grants the scheduler at most 12 KB of state. *)
+let byte_budget = 12288.0
 
+type outcome = {
+  base_costs : float array;
+  selected : (string * string) list;
+  config : config;
+  predicted : float array;
+  actual : float array;
+}
+
+let percent_deltas ~base costs =
+  Array.mapi (fun d c -> 100.0 *. (c -. base.(d)) /. base.(d)) costs
+
+(* One solver variable per option, group-major. *)
+type opt = {
+  group : int;
+  labels : string * string;
+  apply : config -> config;
+  deltas : float array;  (* percent per dimension vs base *)
+  bytes : float;  (* raw state-byte delta, for the budget *)
+}
+
+let optimize ~weights =
+  if Array.length weights <> 2 then
+    invalid_arg (name ^ ": one weight per dimension required");
+  let base_costs = measure base in
+  let opts =
+    List.concat
+      (List.mapi
+         (fun group (label, options) ->
+           List.map
+             (fun (value, apply) ->
+               let costs = measure (apply base) in
+               {
+                 group;
+                 labels = (label, value);
+                 apply;
+                 deltas = percent_deltas ~base:base_costs costs;
+                 bytes = costs.(1) -. base_costs.(1);
+               })
+             options)
+         groups)
+    |> Array.of_list
+  in
+  let nvars = Array.length opts in
+  let all = List.init nvars Fun.id in
+  let objective =
+    Array.map
+      (fun o ->
+        let s = ref 0.0 in
+        Array.iteri (fun d w -> s := !s +. (w *. o.deltas.(d))) weights;
+        !s)
+      opts
+  in
   let groups =
-    [
+    List.mapi (fun gi _ -> List.filter (fun j -> opts.(j).group = gi) all) groups
+    |> List.filter (fun g -> List.length g >= 2)
+  in
+  let budget =
+    Optim.Binlp.linear
       {
-        label = "queues";
-        options =
-          List.map
-            (fun q -> (string_of_int q, fun c -> { c with queues = q }))
-            [ 64; 128; 512 ];
-      };
+        Optim.Binlp.coeffs = List.map (fun j -> (j, opts.(j).bytes)) all;
+        const = 0.0;
+      }
+      Optim.Binlp.Le
+      (byte_budget -. base_costs.(1))
+  in
+  let solved =
+    Optim.Binlp.solve
+      ~runner:(Pool.solver_runner (Pool.default ()))
+      { Optim.Binlp.nvars; objective; groups; constraints = [ budget ] }
+  in
+  match solved.Optim.Binlp.best with
+  | None -> failwith (name ^ ": no feasible selection")
+  | Some solution ->
+      let chosen = List.filter (fun j -> solution.Optim.Binlp.x.(j)) all in
+      let config = List.fold_left (fun c j -> opts.(j).apply c) base chosen in
       {
-        label = "slots";
-        options =
-          List.map
-            (fun s -> (string_of_int s, fun c -> { c with slots = s }))
-            [ 8; 32; 64 ];
-      };
-      {
-        label = "quantum";
-        options =
-          List.map
-            (fun q -> (string_of_int q, fun c -> { c with quantum = q }))
-            [ 100; 200; 800; 1600 ];
-      };
-    ]
+        base_costs;
+        selected = List.map (fun j -> opts.(j).labels) chosen;
+        config;
+        predicted =
+          Array.init 2 (fun d ->
+              List.fold_left (fun acc j -> acc +. opts.(j).deltas.(d)) 0.0 chosen);
+        actual = percent_deltas ~base:base_costs (measure config);
+      }
 
-  (* The appliance grants the scheduler at most 12 KB of state. *)
-  let budgets = [| (1, 12288.0) |]
-end
-
-module Tuner = Generic.Make (Domain)
-
-let print_outcome ppf (o : Tuner.outcome) =
+let print_outcome ppf o =
   Format.fprintf ppf "  base: %.1f cycles/KB, %.0f state bytes@."
     o.base_costs.(0) o.base_costs.(1);
   Format.fprintf ppf "  selected: %s@."

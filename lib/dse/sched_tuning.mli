@@ -1,7 +1,8 @@
-(** A second instantiation of the paper's technique ({!Generic}) on a
-    different configuration-management problem: tuning the DRR
-    scheduler's {e software} parameters — queue count, slots per queue
-    and the service quantum — for a memory-constrained appliance.
+(** The paper's technique on a different configuration-management
+    problem — its conclusion proposes "evaluat[ing] our technique on
+    other configuration and feature management problems": tuning the
+    DRR scheduler's {e software} parameters — queue count, slots per
+    queue and the service quantum — for a memory-constrained appliance.
 
     Costs are measured the same way the paper measures the processor:
     the parameterized scheduler ({!Apps.Drr.make_program}) is compiled
@@ -11,7 +12,11 @@
       cycles would reward dropping traffic);
     - {b state bytes}: queue buffers plus per-queue bookkeeping.
 
-    A byte budget caps the state (the appliance's scratch memory). *)
+    {!optimize} runs the paper's method unchanged: perturb one option
+    at a time, record percent deltas per dimension, minimize the
+    weighted delta sum with the exact solver under one SOS1 group per
+    parameter and a linear byte budget (the appliance's 12 KB of
+    scratch memory), decode, and verify by a final measurement. *)
 
 type config = { queues : int; slots : int; quantum : int }
 
@@ -20,8 +25,19 @@ val base : config
 
 val state_bytes : config -> int
 val measure : config -> float array
+(** [[| cycles per KB served; state bytes |]]. *)
 
-module Domain : Generic.DOMAIN with type config = config
-module Tuner : module type of Generic.Make (Domain)
+type outcome = {
+  base_costs : float array;
+  selected : (string * string) list;  (** (parameter, value) pairs *)
+  config : config;
+  predicted : float array;  (** summed percent deltas *)
+  actual : float array;  (** measured percent deltas *)
+}
 
-val print_outcome : Format.formatter -> Tuner.outcome -> unit
+val optimize : weights:float array -> outcome
+(** [weights] has one entry per dimension.
+    @raise Invalid_argument on a wrong weight count.
+    @raise Failure when no selection fits the budget. *)
+
+val print_outcome : Format.formatter -> outcome -> unit

@@ -1,10 +1,8 @@
 (* The paper's pipeline, functorized over a {!Target.S} backend.
 
    [Make (T)] instantiates the whole measure → formulate → solve →
-   verify stack for one soft core: the LEON2-typed modules of this
-   library ({!Measure}, {!Formulate}, {!Optimizer}, {!Exhaustive},
-   {!Heuristic}, {!Ablation}, {!Multiapp}) are [Make (Target_leon2)]
-   re-exported (see [leon2.ml]), and additional backends such as the
+   verify stack for one soft core.  {!Leon2} is [Make (Target_leon2)],
+   the paper's own platform, and additional backends such as the
    MicroBlaze-like core run the very same code paths.
 
    All percentage normalizations (lambda/beta in points of the device,
@@ -12,9 +10,13 @@
    small-device backend gets binding resource constraints instead of
    inheriting LEON2's headroom. *)
 
+(** Which resource constraints {!Make.Formulate} keeps nonlinear.  The
+    paper keeps the LUT constraint linear (LUT variation is small) and
+    the BRAM constraint nonlinear; swapping either gives the paper's
+    "LUTs%-nonlin" and "BRAM%-lin" rows. *)
 type variant = {
-  lut_nonlinear : bool;
-  bram_linear : bool;
+  lut_nonlinear : bool;  (** default false, as in the paper *)
+  bram_linear : bool;    (** default false, as in the paper *)
 }
 
 let paper_variant = { lut_nonlinear = false; bram_linear = false }
@@ -69,6 +71,29 @@ module Make (T : Target.S) = struct
   let headroom_luts (c : Cost.t) = 100.0 -. lut_percent c.Cost.resources
   let headroom_brams (c : Cost.t) = 100.0 -. bram_percent c.Cost.resources
 
+  (** The perturb-one-at-a-time measurement harness (the paper's model
+      building step).
+
+      For each decision variable (52 on LEON2), build the
+      configuration that differs from base in just that parameter,
+      "synthesize" it (resource model) and execute the application on
+      it (simulator), recording the percentage deltas.  All
+      evaluations go through the shared {!Engine}, so repeated builds
+      (and overlaps with sweeps or other experiments) are cache hits.
+
+      Replacement-policy perturbations (LRR/LRU) are structurally
+      invalid on LEON2's 1-way base cache; their marginal cost is
+      measured at 2-way associativity relative to a plain 2-way
+      configuration, matching the own-dimension reading of the paper's
+      model (the x10<=x1 couplings make the solver pick them only
+      together with added ways).
+
+      [noise] injects a deterministic, per-configuration pseudo-random
+      LUT measurement error (a fraction of the device, e.g. 0.005 for
+      ±0.5 %) modeling synthesis/place-and-route variance — the paper's
+      LUT columns visibly carry such noise (it reports LUT *decreases*
+      for larger caches, and its resource optimizer picks extra
+      register windows flagged "sub-optimal").  Default: no noise. *)
   module Measure = struct
     type row = {
       var : T.var;
@@ -80,8 +105,11 @@ module Make (T : Target.S) = struct
     type model = {
       app : Apps.Registry.t;
       base : Cost.t;
-      rows : row list;
+      rows : row list;  (** exactly the variables of the selected groups *)
       by_index : (int, row) Hashtbl.t;
+          (** derived: rows by paper variable index.  Never update
+              [rows] with a record-update expression — use
+              {!with_rows}, which rebuilds the index. *)
     }
 
     let index_rows rows =
@@ -89,15 +117,29 @@ module Make (T : Target.S) = struct
       List.iter (fun r -> Hashtbl.replace h r.var.T.index r) rows;
       h
 
+    (** Build a model, deriving the index table from the rows. *)
     let model_of app ~base rows = { app; base; rows; by_index = index_rows rows }
+
+    (** [m] with the given rows and a freshly derived index table. *)
     let with_rows m rows = { m with rows; by_index = index_rows rows }
 
+    (** Synthesize and run one configuration — {!Engine.eval_on} on the
+        shared engine.
+        @raise Invalid_argument if structurally invalid. *)
     let measure ?noise app config =
       Engine.eval_on ?noise (Engine.default ()) T.probe app config
 
+    (** The configuration a variable's marginal cost is measured
+        against: base for everything except LEON2's replacement
+        policies, which are referenced to a 2-way cache (see above). *)
     let reference_config = T.reference_config
 
-    let build ?noise ?dims ?jobs app =
+    (** [dims] restricts the model to the given parameter groups (the
+        Section 5 study uses dcache ways and way size); default all
+        groups (18 groups, 52 variables on LEON2).  The per-variable
+        measurements fan out over {!Pool.default}; the result is
+        identical to a sequential build. *)
+    let build ?noise ?dims app =
       Obs.Span.with_span ~cat:"dse" "measure.build"
         ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
       @@ fun span ->
@@ -139,14 +181,30 @@ module Make (T : Target.S) = struct
         in
         { var; config = var.T.apply T.base; cost; deltas = { d with Cost.rho } }
       in
-      model_of app ~base (Parallel.map ?jobs measure_var vars)
+      model_of app ~base (Pool.map (Pool.default ()) measure_var vars)
 
-    let row model index =
-      match Hashtbl.find_opt model.by_index index with
-      | Some r -> r
-      | None -> raise Not_found
+    (** Row for paper variable index (1-based).
+        @raise Not_found if the variable is outside the model's dims. *)
+    let row model index = Hashtbl.find model.by_index index
   end
 
+  (** The paper's Section 4 problem formulation.
+
+      Translates a measured model into a constrained Binary Integer
+      Nonlinear Program over the decision variables (x1..x52 on LEON2):
+
+      - objective: minimize [sum (w1 rho_i + w2 (lambda_i + beta_i)) x_i];
+      - SOS1 constraints: at most one value per multi-valued parameter;
+      - validity couplings, on LEON2: LRR requires 2-way associativity
+        ([x10 <= x1], [x21 <= x12]), LRU requires multi-way
+        ([x11 <= x1+x2+x3], [x22 <= x12+x13+x14]);
+      - FPGA resource constraints: total extra LUT% <= L and BRAM% <= B
+        (the headroom left by the base configuration), where each
+        cache's cost is the {e product} of its ways term [(1 + x_w2 +
+        2 x_w3 + 3 x_w4)] and its per-way size deltas — the paper keeps
+        the LUT constraint linear (LUT variation is small) and the BRAM
+        constraint nonlinear; [variant] lets you swap either, which is
+        how the paper's "LUTs%-nonlin" and "BRAM%-lin" rows arise. *)
   module Formulate = struct
     (* Solver variable j <-> model row j. *)
     let index_table (model : Measure.model) =
@@ -156,31 +214,16 @@ module Make (T : Target.S) = struct
         model.Measure.rows;
       tbl
 
-    let solver_var tbl paper_index = Hashtbl.find_opt tbl paper_index
-
     (* A cache's ways factor: the explicit multipliers of [T.products]
-       on top of the implicit single base way. *)
-    let product_factor tbl pairs =
+       on top of the implicit single base way.  [slot] maps a paper
+       index to its solver variable (in one phase). *)
+    let product_factor slot pairs =
       let coeffs =
         List.filter_map
-          (fun (i, m) ->
-            match solver_var tbl i with Some j -> Some (j, m) | None -> None)
+          (fun (i, m) -> Option.map (fun j -> (j, m)) (slot i))
           pairs
       in
       { Optim.Binlp.coeffs; const = 1.0 }
-
-    let lin_of tbl (model : Measure.model) get indices =
-      let coeffs =
-        List.filter_map
-          (fun i ->
-            match solver_var tbl i with
-            | Some j ->
-                let r = List.nth model.Measure.rows j in
-                Some (j, get r.Measure.deltas)
-            | None -> None)
-          indices
-      in
-      { Optim.Binlp.coeffs; const = 0.0 }
 
     let range a b = List.init (b - a + 1) (fun k -> a + k)
 
@@ -191,26 +234,37 @@ module Make (T : Target.S) = struct
       List.filter (fun i -> not (List.mem i in_products)) (range 1 T.var_count)
 
     (* Resource expression (in percentage points of the device) for one
-       metric, as constraint terms.  Nonlinear: per-cache products of
-       the ways factor and the per-way size deltas, plus everything
-       else linear; the paper's Section 4 FPGA resource constraints. *)
-    let resource_terms tbl model get ~nonlinear =
-      if not nonlinear then
-        [ Optim.Binlp.Lin (lin_of tbl model get (range 1 T.var_count)) ]
+       metric and one phase, as constraint terms; coefficients are the
+       model's deltas.  Nonlinear: per-cache products of the ways
+       factor and the per-way size deltas, plus everything else
+       linear; the paper's Section 4 FPGA resource constraints. *)
+    let resource_terms ~slot (model : Measure.model) get ~nonlinear =
+      let lin indices =
+        let coeffs =
+          List.filter_map
+            (fun i ->
+              match Hashtbl.find_opt model.Measure.by_index i with
+              | None -> None
+              | Some (r : Measure.row) ->
+                  Option.map (fun j -> (j, get r.Measure.deltas)) (slot i))
+            indices
+        in
+        { Optim.Binlp.coeffs; const = 0.0 }
+      in
+      if not nonlinear then [ Optim.Binlp.Lin (lin (range 1 T.var_count)) ]
       else
         List.map
           (fun (factor, sizes) ->
-            Optim.Binlp.Prod
-              (product_factor tbl factor, lin_of tbl model get sizes))
+            Optim.Binlp.Prod (product_factor slot factor, lin sizes))
           T.products
-        @ [ Optim.Binlp.Lin (lin_of tbl model get linear_indices) ]
+        @ [ Optim.Binlp.Lin (lin linear_indices) ]
 
-    let coupling tbl antecedent consequents =
+    let coupling slot antecedent consequents =
       (* antecedent <= sum of consequents, i.e. x_a - sum x_c <= 0. *)
-      match solver_var tbl antecedent with
+      match slot antecedent with
       | None -> None
       | Some ja ->
-          let cons = List.filter_map (solver_var tbl) consequents in
+          let cons = List.filter_map slot consequents in
           if cons = [] then
             (* No way to satisfy the coupling: forbid the antecedent. *)
             Some
@@ -227,49 +281,82 @@ module Make (T : Target.S) = struct
                  }
                  Optim.Binlp.Le 0.0)
 
-    let make_custom ~objective ?(variant = paper_variant) (model : Measure.model)
-        =
-      let tbl = index_table model in
-      let rows = Array.of_list model.Measure.rows in
-      let nvars = Array.length rows in
-      let objective = Array.map objective rows in
+    let is_static (r : Measure.row) =
+      List.mem r.Measure.var.T.group T.static_groups
+
+    (* The one constraint builder: SOS1 groups, validity couplings and
+       the LUT/BRAM rows of a [phases]-phase selection, where
+       [slot p i] is paper index [i]'s solver variable in phase [p].
+       Groups in [T.static_groups] and couplings among static rows
+       (their slots agree in every phase) are stated once; everything
+       else once per phase.  Resource coefficients and headroom come
+       from [model]. *)
+    let groups_and_constraints ~variant ~phases ~slot (model : Measure.model) =
+      let static i =
+        Option.fold ~none:true ~some:is_static
+          (Hashtbl.find_opt model.Measure.by_index i)
+      in
       let groups =
-        List.filter_map
+        List.concat_map
           (fun g ->
-            let members =
+            let members p =
               List.filter_map
-                (fun v -> solver_var tbl v.T.index)
+                (fun (v : T.var) -> slot p v.T.index)
                 (T.group_members g)
             in
-            if List.length members >= 2 then Some members else None)
+            let m0 = members 0 in
+            if List.length m0 < 2 then []
+            else if List.mem g T.static_groups then [ m0 ]
+            else List.init phases members)
           T.groups
       in
       let couplings =
-        List.filter_map (fun (a, cs) -> coupling tbl a cs) T.couplings
+        List.concat_map
+          (fun (a, cs) ->
+            let ps =
+              if List.for_all static (a :: cs) then [ 0 ]
+              else List.init phases Fun.id
+            in
+            List.filter_map (fun p -> coupling (slot p) a cs) ps)
+          T.couplings
       in
-      let lut_terms =
-        resource_terms tbl model
-          (fun d -> d.Cost.lambda)
-          ~nonlinear:variant.lut_nonlinear
-      in
-      let bram_terms =
-        resource_terms tbl model
-          (fun d -> d.Cost.beta)
-          ~nonlinear:(not variant.bram_linear)
-      in
-      let resource_constraints =
+      let resources p =
         [
-          { Optim.Binlp.terms = lut_terms; rel = Optim.Binlp.Le;
-            bound = headroom_luts model.Measure.base };
-          { Optim.Binlp.terms = bram_terms; rel = Optim.Binlp.Le;
-            bound = headroom_brams model.Measure.base };
+          {
+            Optim.Binlp.terms =
+              resource_terms ~slot:(slot p) model
+                (fun d -> d.Cost.lambda)
+                ~nonlinear:variant.lut_nonlinear;
+            rel = Optim.Binlp.Le;
+            bound = headroom_luts model.Measure.base;
+          };
+          {
+            Optim.Binlp.terms =
+              resource_terms ~slot:(slot p) model
+                (fun d -> d.Cost.beta)
+                ~nonlinear:(not variant.bram_linear);
+            rel = Optim.Binlp.Le;
+            bound = headroom_brams model.Measure.base;
+          };
         ]
       in
+      (groups, couplings @ List.concat (List.init phases resources))
+
+    (** Same constraints as {!make}, arbitrary per-variable objective —
+        used by extensions such as the energy optimizer. *)
+    let make_custom ~objective ?(variant = paper_variant) (model : Measure.model)
+        =
+      let tbl = index_table model in
+      let groups, constraints =
+        groups_and_constraints ~variant ~phases:1
+          ~slot:(fun _ i -> Hashtbl.find_opt tbl i)
+          model
+      in
       {
-        Optim.Binlp.nvars;
-        objective;
+        Optim.Binlp.nvars = List.length model.Measure.rows;
+        objective = Array.of_list (List.map objective model.Measure.rows);
         groups;
-        constraints = couplings @ resource_constraints;
+        constraints;
       }
 
     (* A non-finite measured delta would make the solve's answer
@@ -288,6 +375,9 @@ module Make (T : Target.S) = struct
             [ ("rho", d.Cost.rho); ("lambda", d.Cost.lambda); ("beta", d.Cost.beta) ])
         model.Measure.rows
 
+    (** @raise Invalid_argument naming the row and the field if a
+        measured delta is not finite; {!make_schedule} checks every
+        phase model the same way. *)
     let make ?variant (weights : Cost.weights) model =
       check_finite "Formulate.make" model;
       make_custom
@@ -352,9 +442,6 @@ module Make (T : Target.S) = struct
                 invalid_arg
                   "Formulate.make_schedule: phase models disagree on rows")
             marr;
-          let is_static (r : Measure.row) =
-            List.mem r.Measure.var.T.group T.static_groups
-          in
           let recon, static =
             List.partition (fun r -> not (is_static r)) first.Measure.rows
           in
@@ -375,20 +462,6 @@ module Make (T : Target.S) = struct
             static;
           let slot p i =
             Option.map (fun f -> f p) (Hashtbl.find_opt slot_fns i)
-          in
-          (* Phase-p view of the paper-index -> solver-variable table,
-             so [coupling] and [product_factor] apply unchanged. *)
-          let tbls =
-            Array.init nphases (fun p ->
-                let h = Hashtbl.create 64 in
-                List.iter
-                  (fun (r : Measure.row) ->
-                    let i = r.Measure.var.T.index in
-                    match slot p i with
-                    | Some j -> Hashtbl.replace h i j
-                    | None -> ())
-                  first.Measure.rows;
-                h)
           in
           let rho_p p (r : Measure.row) =
             (Measure.row marr.(p) r.Measure.var.T.index).Measure.deltas
@@ -416,81 +489,8 @@ module Make (T : Target.S) = struct
                 (weights.Cost.w1 *. !rho)
                 +. (weights.Cost.w2 *. (d.Cost.lambda +. d.Cost.beta)))
             static;
-          let groups =
-            List.concat_map
-              (fun g ->
-                let members p =
-                  List.filter_map
-                    (fun (v : T.var) -> slot p v.T.index)
-                    (T.group_members g)
-                in
-                let m0 = members 0 in
-                if List.length m0 < 2 then []
-                else if List.mem g T.static_groups then [ m0 ]
-                else List.init nphases members)
-              T.groups
-          in
-          let phase_independent i =
-            match Hashtbl.find_opt first.Measure.by_index i with
-            | Some r -> is_static r
-            | None -> true
-          in
-          let couplings =
-            List.concat_map
-              (fun (a, cs) ->
-                let ps =
-                  if List.for_all phase_independent (a :: cs) then [ 0 ]
-                  else List.init nphases Fun.id
-                in
-                List.filter_map (fun p -> coupling tbls.(p) a cs) ps)
-              T.couplings
-          in
-          let lin_of_p p get indices =
-            let coeffs =
-              List.filter_map
-                (fun i ->
-                  match Hashtbl.find_opt first.Measure.by_index i with
-                  | None -> None
-                  | Some (r : Measure.row) ->
-                      Option.map
-                        (fun j -> (j, get r.Measure.deltas))
-                        (slot p i))
-                indices
-            in
-            { Optim.Binlp.coeffs; const = 0.0 }
-          in
-          let resource_terms_p p get ~nonlinear =
-            if not nonlinear then
-              [ Optim.Binlp.Lin (lin_of_p p get (range 1 T.var_count)) ]
-            else
-              List.map
-                (fun (factor, sizes) ->
-                  Optim.Binlp.Prod
-                    (product_factor tbls.(p) factor, lin_of_p p get sizes))
-                T.products
-              @ [ Optim.Binlp.Lin (lin_of_p p get linear_indices) ]
-          in
-          let resource_constraints =
-            List.concat
-              (List.init nphases (fun p ->
-                   [
-                     {
-                       Optim.Binlp.terms =
-                         resource_terms_p p
-                           (fun d -> d.Cost.lambda)
-                           ~nonlinear:variant.lut_nonlinear;
-                       rel = Optim.Binlp.Le;
-                       bound = headroom_luts first.Measure.base;
-                     };
-                     {
-                       Optim.Binlp.terms =
-                         resource_terms_p p
-                           (fun d -> d.Cost.beta)
-                           ~nonlinear:(not variant.bram_linear);
-                       rel = Optim.Binlp.Le;
-                       bound = headroom_brams first.Measure.base;
-                     };
-                   ]))
+          let groups, constraints =
+            groups_and_constraints ~variant ~phases:nphases ~slot first
           in
           (* Interior boundaries are crossed once per repetition; the
              wrap-around switch back to phase 0 happens between
@@ -561,37 +561,37 @@ module Make (T : Target.S) = struct
           in
           let slots =
             Array.init nphases (fun p ->
-                List.mapi (fun pos r -> ((p * n_recon) + pos, r)) recon
-                @ List.mapi
-                    (fun pos r -> ((nphases * n_recon) + pos, r))
-                    static)
+                List.map
+                  (fun (r : Measure.row) ->
+                    (Option.get (slot p r.Measure.var.T.index), r))
+                  (recon @ static))
           in
           {
-            problem =
-              {
-                Optim.Binlp.nvars;
-                objective;
-                groups;
-                constraints = couplings @ resource_constraints;
-              };
+            problem = { Optim.Binlp.nvars; objective; groups; constraints };
             switch_terms;
             phases = nphases;
             slots;
           }
 
+    (** Decode: the selected perturbations, in paper index order. *)
     let vars_of_solution (model : Measure.model) (s : Optim.Binlp.solution) =
       List.filteri (fun j _ -> s.Optim.Binlp.x.(j)) model.Measure.rows
       |> List.map (fun (r : Measure.row) -> r.Measure.var)
       |> List.sort (fun (a : T.var) (b : T.var) -> compare a.T.index b.T.index)
 
+    (** The optimizer's linear-superposition cost approximation for a
+        set of simultaneous perturbations: rho by summation;
+        lambda/beta by the constraint-side formulas of [variant]
+        (product form where nonlinear, plain summation where
+        linear). *)
     let predicted_deltas ?(variant = paper_variant) (model : Measure.model) vars
         =
       let tbl = index_table model in
-      let nvars = List.length model.Measure.rows in
-      let x = Array.make nvars false in
+      let slot = Hashtbl.find_opt tbl in
+      let x = Array.make (List.length model.Measure.rows) false in
       List.iter
         (fun (v : T.var) ->
-          match solver_var tbl v.T.index with
+          match slot v.T.index with
           | Some j -> x.(j) <- true
           | None ->
               invalid_arg "Formulate.predicted_deltas: variable not in model")
@@ -617,33 +617,43 @@ module Make (T : Target.S) = struct
       in
       let lambda =
         eval
-          (resource_terms tbl model
+          (resource_terms ~slot model
              (fun d -> d.Cost.lambda)
              ~nonlinear:variant.lut_nonlinear)
       in
       let beta =
         eval
-          (resource_terms tbl model
+          (resource_terms ~slot model
              (fun d -> d.Cost.beta)
              ~nonlinear:(not variant.bram_linear))
       in
       { Cost.rho; lambda; beta }
   end
 
+  (** End-to-end automatic microarchitecture reconfiguration: the
+      paper's full pipeline.
+
+      1. build the one-at-a-time cost model ({!Measure});
+      2. formulate the BINLP ({!Formulate});
+      3. solve it exactly ({!Optim.Binlp});
+      4. decode the selected variables into a configuration;
+      5. "actually synthesize" the recommendation: build and measure
+         it, so predictions can be compared against reality (the
+         paper's "Actual synthesis" rows). *)
   module Optimizer = struct
     type prediction = {
       seconds : float;
       lut_percent : float;
-      lut_percent_alt : float;
+      lut_percent_alt : float;  (** the swapped (nonlinear) LUT model *)
       bram_percent : float;
-      bram_percent_alt : float;
+      bram_percent_alt : float;  (** the swapped (linear) BRAM model *)
     }
 
     type outcome = {
       model : Measure.model;
       weights : Cost.weights;
       solution : Optim.Binlp.solution;
-      selected : T.var list;
+      selected : T.var list;  (** paper-index order *)
       config : T.config;
       predicted : prediction;
       actual : Cost.t;
@@ -672,10 +682,11 @@ module Make (T : Target.S) = struct
         bram_percent_alt = bram_percent base.Cost.resources +. alt.Cost.beta;
       }
 
-    (* The pipeline's four phases — measure, formulate, solve, verify —
-       as spans, so a trace shows at a glance where a reconfiguration
-       run spends its time ([Measure.build] opens the measure phase
-       itself). *)
+    (** Reuse an already-measured model (model building dominates
+        cost).  The pipeline's four phases — measure, formulate, solve,
+        verify — run as spans, so a trace shows at a glance where a
+        reconfiguration run spends its time ([Measure.build] opens the
+        measure phase itself). *)
     let run_with_model ?variant ~weights (model : Measure.model) =
       let app = model.Measure.app.Apps.Registry.name in
       let attrs = [ ("app", Obs.Json.String app) ] in
@@ -745,6 +756,9 @@ module Make (T : Target.S) = struct
             actual;
           }
 
+    (** @raise Failure if the BINLP has no feasible solution (cannot
+        happen with the paper's constraints: the empty selection is
+        feasible). *)
     let run ?noise ?dims ?variant ~weights app =
       let model =
         Obs.Span.with_ ~cat:"dse" "phase.measure"
@@ -782,20 +796,32 @@ module Make (T : Target.S) = struct
         (100.0 *. (p.seconds -. base.Cost.seconds) /. base.Cost.seconds)
   end
 
+  (** Exhaustive-search baseline over scaled-down subspaces (the
+      paper's Section 5 analysis).
+
+      The full space is out of reach (billions of configurations; the
+      paper estimates 56 days for the 2,688 dcache combinations alone),
+      so the paper — and we — exhaustively enumerate the target's
+      geometry points (LEON2: the 28 dcache ways x way-size points) and
+      compare the optimizer's pick against the true optimum. *)
   module Exhaustive = struct
     type point = {
       config : T.config;
-      cost : Cost.t option;
+      cost : Cost.t option;  (** [None] when the FPGA cannot fit it *)
     }
 
-    (* One batched engine call: resources are elaborated once per point
-       (feasibility and cost share the estimate), infeasible points
-       never reach the simulator, and the feasible ones fan out on the
-       pool. *)
+    (** One batched, memoized {!Engine.eval_all_feasible_on} call:
+        deduped points; resources are elaborated once per point
+        (feasibility and cost share the estimate), infeasible points
+        never reach the simulator, and the feasible ones fan out on the
+        pool. *)
     let sweep app configs =
       Engine.eval_all_feasible_on (Engine.default ()) T.probe app configs
       |> List.map2 (fun config cost -> { config; cost }) configs
 
+    (** {!sweep} over [T.sweep_configs].  On LEON2: all 28 ways x
+        way-size combinations, base otherwise, in the paper's Figure 2
+        row order (ways-major). *)
     let geometry_sweep app = sweep app T.sweep_configs
 
     let feasible_points points =
@@ -803,34 +829,30 @@ module Make (T : Target.S) = struct
         (fun p -> match p.cost with Some c -> Some (p, c) | None -> None)
         points
 
-    let argmin key points =
+    (** Feasible point with minimal runtime; ties broken by fewer BRAM
+        then fewer LUTs (the paper's "simple sort").
+        @raise Not_found if no point is feasible. *)
+    let best_runtime points =
+      let key (_, (c : Cost.t)) =
+        ( c.Cost.seconds,
+          c.Cost.resources.Synth.Resource.brams,
+          c.Cost.resources.Synth.Resource.luts )
+      in
       match feasible_points points with
       | [] -> raise Not_found
       | first :: rest ->
-          let better a b = if key (snd a) <= key (snd b) then a else b in
+          let better a b = if key a <= key b then a else b in
           fst (List.fold_left better first rest)
 
-    let best_runtime points =
-      argmin
-        (fun (c : Cost.t) ->
-          ( c.Cost.seconds,
-            c.Cost.resources.Synth.Resource.brams,
-            c.Cost.resources.Synth.Resource.luts ))
-        points
-
-    let best_weighted weights ~base points =
-      argmin
-        (fun c -> (Cost.objective weights (deltas ~base c), 0, 0))
-        points
-
-    (* [sweep] + [best_runtime] with the engine's bounds-admission
-       gate: the candidate with the smallest static worst case is
-       simulated first, and its actual runtime prunes every candidate
-       whose static best case is already slower.  Pruned points have
-       [seconds >= lo > incumbent.seconds >= min seconds], so they can
-       neither win nor tie the lexicographic argmin: the selected
-       point is byte-identical to a full sweep's, with fewer
-       simulations. *)
+    (** {!sweep} + {!best_runtime} through the engine's static-bounds
+        admission gate: the candidate with the smallest static worst
+        case is simulated first, and its actual runtime prunes every
+        candidate whose static best case is already slower
+        ([dse.bounds.pruned]).  Pruned points have [seconds >= lo >
+        incumbent.seconds >= min seconds], so they can neither win nor
+        tie the lexicographic argmin: the selected point is
+        byte-identical to a full sweep's, with fewer simulations.
+        @raise Not_found if no candidate is feasible. *)
     let best_runtime_search app configs =
       match T.probe.Target.static_bounds with
       | None -> best_runtime (sweep app configs)
@@ -870,13 +892,34 @@ module Make (T : Target.S) = struct
               best_runtime points)
   end
 
+  (** Heuristic design-space exploration baselines.
+
+      The related work the paper positions against explores the space
+      with heuristics (Fischer et al.'s DSE, Gordon-Ross et al.'s
+      hierarchical cache search).  Two classic baselines, each counting
+      the builds (configuration measurements) it spends — the currency
+      of the paper's scalability argument, since a real build costs ~30
+      minutes of synthesis plus an application run:
+
+      - {b random search}: sample valid configurations uniformly;
+      - {b coordinate descent}: from the base configuration, repeatedly
+        sweep every parameter, adopting the best value while holding
+        the others fixed, until a full sweep improves nothing.
+
+      Both optimize the same weighted objective the paper's BINLP does,
+      and reject configurations that do not fit the device. *)
   module Heuristic = struct
     type result = {
       config : T.config;
       cost : Cost.t;
-      objective : float;
-      builds : int;
+      objective : float;  (** weighted objective vs the base *)
+      builds : int;  (** configurations actually simulated *)
       pruned : int;
+          (** candidates skipped without a simulation — by a static
+              feature argument or by the engine's static-bounds
+              admission gate ({!Engine.eval_bounded_on}); both are
+              trajectory-preserving, so the returned configuration is
+              the one an unpruned run selects *)
     }
 
     let evaluate ~weights ~base app config =
@@ -903,6 +946,11 @@ module Make (T : Target.S) = struct
         in
         s +. (1e-9 *. (Float.abs s +. 1.0))
 
+    (** Samples until [builds] feasible candidates have been spent.  A
+        feasible draw whose static {e best-case} runtime already loses
+        to the incumbent consumes budget without simulating, so
+        [result.builds + result.pruned = builds] and the winner matches
+        an unpruned run's draw for draw. *)
     let random_search ?(seed = 0x5EA7C4) ~builds ~weights app =
       if builds < 1 then
         invalid_arg "Heuristic.random_search: builds must be >= 1";
@@ -962,6 +1010,15 @@ module Make (T : Target.S) = struct
       rcan.Synth.Resource.luts >= rcur.Synth.Resource.luts
       && rcan.Synth.Resource.brams >= rcur.Synth.Resource.brams
 
+    (** With [features] (see {!Apps.Features}), candidates that a
+        static argument proves runtime-identical to the incumbent and
+        no cheaper in resources are skipped without a build — e.g.
+        icache enlargements when the whole program already fits one
+        way, or multiplier swaps under a program that never
+        multiplies.  The descent trajectory (and so the returned
+        configuration) is unchanged; only [builds] drops and [pruned]
+        counts the skips.  Requires non-negative weights, which all
+        {!Cost} presets are. *)
     let coordinate_descent ?(max_sweeps = 5) ?features ~weights app =
       Obs.Span.with_span ~cat:"dse" "heuristic.coordinate_descent"
         ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
@@ -1031,6 +1088,9 @@ module Make (T : Target.S) = struct
         pruned = !pruned;
       }
 
+    (** The paper's pipeline, packaged with its build count (one
+        probe per model row + replacement references + the
+        verification build) for comparison. *)
     let paper_method ~weights app =
       Obs.Span.with_ ~cat:"dse" "heuristic.paper_method"
         ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
@@ -1061,6 +1121,7 @@ module Make (T : Target.S) = struct
         pruned = 0;
       }
 
+    (** [print_comparison ppf app_name [paper; descent; random...]] *)
     let print_comparison ppf app_name results =
       Format.fprintf ppf "  %s:@." app_name;
       Format.fprintf ppf "    %-22s %8s %8s %12s %10s@." "method" "builds"
@@ -1078,11 +1139,27 @@ module Make (T : Target.S) = struct
         results
   end
 
+  (** Ablation studies for the design choices the paper discusses.
+
+      - {b Synthesis measurement noise}: the paper's LUT columns carry
+        place-and-route variance, which explains its resource optimizer
+        picking extra register windows flagged "sub-optimal".
+        Injecting deterministic noise into our measurements reproduces
+        the phenomenon and quantifies its cost.
+      - {b Constraint form}: the paper keeps the LUT constraint linear
+        and the BRAM constraint nonlinear (product of ways and way-size
+        terms), and Section 6 reports what each swap would do.  We
+        rerun the optimizer under all four variants.
+      - {b Parameter independence}: the central assumption.  We measure
+        the prediction error (predicted vs actually-built runtime) of
+        the selected configuration per application. *)
   module Ablation = struct
     type noise_point = {
-      amplitude : float;
+      amplitude : float;  (** LUT noise, fraction of device *)
       outcome : Optimizer.outcome;
       objective_regret : float;
+          (** true-cost objective of the noisy pick minus that of the
+              noise-free pick, in objective units (positive = worse) *)
     }
 
     (* True (noise-free) objective of an already-built configuration.
@@ -1095,6 +1172,7 @@ module Make (T : Target.S) = struct
       let cost = Engine.eval_on engine T.probe app config in
       Cost.objective weights (deltas ~base cost)
 
+    (** Default amplitudes: 0, 0.002, 0.005, 0.01. *)
     let noise_study ?(amplitudes = [ 0.0; 0.002; 0.005; 0.01 ]) ~weights app =
       let reference =
         let o = Optimizer.run ~weights app in
@@ -1114,8 +1192,12 @@ module Make (T : Target.S) = struct
       variant : variant;
       outcome : Optimizer.outcome;
       bram_prediction_error : float;
+          (** predicted minus actual BRAM% of the selected
+              configuration *)
     }
 
+    (** The four lut-linearity x bram-linearity combinations on one
+        model. *)
     let variant_study ~weights model =
       let variants =
         [
@@ -1139,10 +1221,11 @@ module Make (T : Target.S) = struct
 
     type independence_point = {
       app : Apps.Registry.t;
-      predicted_gain : float;
-      actual_gain : float;
+      predicted_gain : float;  (** percent runtime change predicted *)
+      actual_gain : float;  (** percent runtime change measured *)
     }
 
+    (** All registered benchmarks under the given weights. *)
     let independence_study ~weights =
       List.map
         (fun app ->
@@ -1211,7 +1294,20 @@ module Make (T : Target.S) = struct
          case: overlapping cache gains add up linearly in the model)@."
   end
 
+  (** Optimizing one processor for an application {e set} — the
+      paper's introduction motivates customization "for a particular
+      application or application set", and a deployed soft core
+      typically runs a mix.
+
+      Each application contributes its one-at-a-time runtime deltas
+      weighted by its share of execution time; resource deltas are
+      configuration properties and identical across applications.  The
+      combined model goes through the same Section 4 formulation and
+      exact solver, and the recommendation is verified by building it
+      and measuring {e every} application on it. *)
   module Multiapp = struct
+    (** Applications with their execution-time shares (normalized
+        internally; shares must be positive). *)
     type workload = (Apps.Registry.t * float) list
 
     type outcome = {
@@ -1219,7 +1315,9 @@ module Make (T : Target.S) = struct
       selected : T.var list;
       config : T.config;
       mix_gain_percent : float;
+          (** share-weighted actual runtime change, negative = faster *)
       per_app : (Apps.Registry.t * float) list;
+          (** actual runtime change per application, in percent *)
     }
 
     let normalize workload =
@@ -1267,6 +1365,8 @@ module Make (T : Target.S) = struct
       let tuned = (Engine.eval_on engine T.probe app config).Cost.seconds in
       100.0 *. (tuned -. base) /. base
 
+    (** @raise Invalid_argument on an empty workload or non-positive
+        shares. *)
     let optimize ?dims ~weights workload =
       let workload = normalize workload in
       let models =

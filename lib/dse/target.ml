@@ -139,7 +139,7 @@ module type S = sig
 
   val changed_params : config -> (string * string) list
   (** Human-readable (parameter, value) pairs where a configuration
-      differs from [base]. *)
+      differs from [base] — the rows of the paper's Figures 5 and 7. *)
 
   val sweep_configs : config list
   (** The target's scaled-down exhaustive geometry sweep (the LEON2

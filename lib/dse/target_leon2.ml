@@ -1,9 +1,8 @@
 (* The LEON2 reference target: the paper's own soft core, packaged as
    a {!Target.S} instance.  No interface file on purpose — the type
    equalities ([config = Arch.Config.t], [var = Arch.Param.var]) must
-   stay visible so the pre-existing LEON2-typed modules ({!Measure},
-   {!Optimizer}, ...) interoperate with the functorized stack without
-   any conversion. *)
+   stay visible so the LEON2 pipeline ({!Leon2}) takes and returns the
+   [Arch] types without any conversion. *)
 
 type config = Arch.Config.t
 type group = Arch.Param.group
@@ -89,6 +88,7 @@ let random_cache rng =
   in
   { Arch.Config.ways; way_kb; line_words; replacement }
 
+(** A uniformly random structurally-valid configuration. *)
 let random_config rng =
   let bool () = Sim.Rng.int rng 2 = 1 in
   {

@@ -475,6 +475,51 @@ let binlp_problem =
   let* terms = G.list_size (G.return nterms) (objective_term nvars) in
   G.return ({ Optim.Binlp.nvars; objective; groups; constraints }, terms)
 
+(* Rebuild an instance, passing every number through [f field], where
+   [field] names it as Binlp's validation does. *)
+let map_numbers f ((p : Optim.Binlp.problem), terms) =
+  let lin where (l : Optim.Binlp.lin) =
+    let coeffs =
+      List.map
+        (fun (j, a) -> (j, f (Printf.sprintf "coefficient of x%d in %s" j where) a))
+        l.coeffs
+    in
+    { Optim.Binlp.coeffs; const = f ("constant in " ^ where) l.const }
+  in
+  let term where = function
+    | Optim.Binlp.Lin l -> Optim.Binlp.Lin (lin where l)
+    | Optim.Binlp.Prod (a, b) -> Optim.Binlp.Prod (lin where a, lin where b)
+  in
+  let objective =
+    Array.mapi (fun j a -> f (Printf.sprintf "objective entry of x%d" j) a) p.objective
+  in
+  let constraints =
+    List.mapi
+      (fun k (c : Optim.Binlp.constr) ->
+        let where = Printf.sprintf "constraint %d" k in
+        let terms = List.map (term where) c.terms in
+        { c with terms; bound = f ("bound of " ^ where) c.bound })
+      p.constraints
+  in
+  ( { p with objective; constraints },
+    List.mapi (fun t -> term (Printf.sprintf "objective term %d" t)) terms )
+
+let binlp_nonfinite =
+  let* instance = binlp_problem in
+  let count = ref 0 in
+  ignore (map_numbers (fun _ a -> incr count; a) instance);
+  let* n = G.int_bound (!count - 1) in
+  let* v = G.oneofl [ Float.nan; Float.infinity; Float.neg_infinity ] in
+  let k = ref (-1) and field = ref "" in
+  let planted =
+    map_numbers
+      (fun f a ->
+        incr k;
+        if !k = n then (field := f; v) else a)
+      instance
+  in
+  G.return (instance, !field, planted)
+
 let print_lin (l : Optim.Binlp.lin) =
   let parts =
     List.map (fun (v, c) -> Printf.sprintf "%g*x%d" c v) l.coeffs

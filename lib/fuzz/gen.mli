@@ -50,6 +50,18 @@ val binlp_problem : (Optim.Binlp.problem * Optim.Binlp.term list) QCheck2.Gen.t
 
 val print_binlp : Optim.Binlp.problem * Optim.Binlp.term list -> string
 
+val binlp_nonfinite :
+  ((Optim.Binlp.problem * Optim.Binlp.term list)
+  * string
+  * (Optim.Binlp.problem * Optim.Binlp.term list))
+  QCheck2.Gen.t
+(** Adversarial floats: a {!binlp_problem} instance, and the same
+    instance with [nan], [+inf] or [-inf] planted at one uniformly
+    chosen number — an objective entry, a constraint coefficient,
+    constant or bound, or an objective-term coefficient or constant —
+    together with the field as {!Optim.Binlp}'s validation names it
+    (e.g. ["bound of constraint 1"]). *)
+
 val json : Obs.Json.t QCheck2.Gen.t
 (** Finite floats only (JSON cannot round-trip inf/nan). *)
 

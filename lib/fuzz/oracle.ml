@@ -537,6 +537,44 @@ let binlp_exact =
               else true);
     }
 
+let binlp_nonfinite =
+  T
+    {
+      name = "binlp-nonfinite";
+      doc =
+        "a nan or infinity planted anywhere in a BINLP instance is rejected \
+         by solve and brute force alike, naming the field; the unplanted \
+         instance solves";
+      gen = Gen.binlp_nonfinite;
+      print =
+        (fun (_, field, planted) ->
+          Printf.sprintf "planted in %s:\n%s" field (Gen.print_binlp planted));
+      prop =
+        (fun ((p, objective_terms), field, (p', objective_terms')) ->
+          let expected = "Binlp: non-finite " ^ field in
+          let rejects who f =
+            match f () with
+            | exception Invalid_argument msg when msg = expected -> ()
+            | exception Invalid_argument msg ->
+                T2.fail_reportf "%s rejected with %S, expected %S" who msg
+                  expected
+            | _ -> T2.fail_reportf "%s accepted a non-finite %s" who field
+          in
+          rejects "solve" (fun () ->
+              Optim.Binlp.solve ~objective_terms:objective_terms' p');
+          rejects "brute_force" (fun () ->
+              Optim.Binlp.brute_force ~objective_terms:objective_terms' p');
+          match (Optim.Binlp.solve ~objective_terms p).Optim.Binlp.best with
+          | None -> true
+          | Some s ->
+              if not (Optim.Binlp.check p s.Optim.Binlp.x) then
+                T2.fail_reportf "unplanted instance: infeasible point";
+              if not (Float.is_finite s.Optim.Binlp.objective) then
+                T2.fail_reportf "unplanted instance: objective %g"
+                  s.Optim.Binlp.objective;
+              true);
+    }
+
 (* Explicit multi-worker pools, created lazily so the domains only
    spawn when this oracle actually runs, and joined at exit.  The host
    may have a single core — the point is scheduling interleaving, not
@@ -1118,6 +1156,7 @@ let all =
     codec_roundtrip;
     mb_codec_roundtrip;
     binlp_exact;
+    binlp_nonfinite;
     binlp_par;
     json_roundtrip;
     pretty_parse;

@@ -79,6 +79,12 @@ val binlp_exact : t
     the same tie-break (minimal objective, then lexicographically
     smallest point). *)
 
+val binlp_nonfinite : t
+(** {!Gen.binlp_nonfinite}: {!Optim.Binlp.solve} and
+    {!Optim.Binlp.brute_force} both raise [Invalid_argument] naming the
+    planted field, and the unplanted instance solves to a feasible
+    point with a finite objective. *)
+
 val binlp_par : t
 (** Parallel {!Optim.Binlp.solve} on explicit 2- and 4-worker
     {!Dse.Pool}s against the sequential solve, objective terms
