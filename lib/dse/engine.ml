@@ -377,6 +377,52 @@ let force_programs apps =
       end)
     apps
 
+(* The pool batches fan out on: [None] runs them on the caller.  The
+   shared pool is resolved lazily and only on machines with real
+   parallelism: on a single-core host a second domain is pure overhead
+   (stop-the-world coordination against the mutator). *)
+let batch_pool t =
+  match t.pool with
+  | Some pool -> Some pool
+  | None when Domain.recommended_domain_count () > 1 -> Some (Pool.default ())
+  | None -> None
+
+(* Hands the configurations of one application that a batch will
+   simulate — not those already cached, nor, for a feasibility batch,
+   those that are invalid or do not fit — to the probe's pricing hook,
+   which walks them on the batch's pool. *)
+let prime_batch ?noise ?(feasible_only = false) ?phases t (probe : _ Target.probe)
+    app configs =
+  let boundaries, phase =
+    match phases with
+    | None -> ([], None)
+    | Some ph -> (Sim.Phase.boundaries ph, Some (Sim.Phase.digest ph))
+  in
+  let simulates config =
+    let key = { (key_of ?noise probe app config) with phase } in
+    match Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.table key) with
+    | Some (Full _ | Pending) -> false
+    | Some (Unfit _) -> not feasible_only
+    | None ->
+        (not feasible_only)
+        || probe.Target.is_valid config
+           && snd (noised_resources probe config)
+  in
+  match List.filter simulates configs with
+  | [] -> ()
+  | pending ->
+      let runner =
+        match batch_pool t with
+        | Some pool -> Pool.pricer_runner pool
+        | None -> { Sim.Pricer.jobs = 1; run = List.iter Pool.run_inline }
+      in
+      probe.Target.prime runner app ~boundaries pending
+
+let prime ?noise t probe app configs =
+  (* before any domain fan-out: Lazy is not domain-safe *)
+  ignore (Lazy.force app.Apps.Registry.program);
+  prime_batch ?noise t probe app configs
+
 (* Collapse a keyed batch to its distinct requests (first occurrence
    order), counting (and journalling) the collapsed repeats, evaluate
    the distinct ones on the pool, and fan the results back out in
@@ -406,10 +452,8 @@ let batch ~span_name ~journal_dedup t keyed evaluate =
   @@ fun () ->
   let eval_one (_, req) = evaluate req in
   let results =
-    match t.pool with
+    match batch_pool t with
     | Some pool -> Pool.map pool eval_one uniques
-    | None when Domain.recommended_domain_count () > 1 ->
-        Pool.map (Pool.default ()) eval_one uniques
     | None ->
         (* Single-core fallback: run on the caller, but still through
            the pool's task accounting so [dse.pool.tasks] reflects the
@@ -426,6 +470,14 @@ let eval_all_on ?noise t probe pairs =
   | [ (app, config) ] -> [ eval_on ?noise t probe app config ]
   | _ ->
       force_programs (List.map fst pairs);
+      let name (app : Apps.Registry.t) = app.Apps.Registry.name in
+      List.iter
+        (fun app ->
+          prime_batch ?noise t probe app
+            (List.filter_map
+               (fun (a, config) -> if name a = name app then Some config else None)
+               pairs))
+        (List.sort_uniq (fun a b -> compare (name a) (name b)) (List.map fst pairs));
       let keyed =
         List.map
           (fun (app, config) -> (key_of ?noise probe app config, (app, config)))
@@ -444,6 +496,7 @@ let eval_all_feasible_on ?noise t probe app configs =
   | [ config ] -> [ eval_feasible_on ?noise t probe app config ]
   | _ ->
       ignore (Lazy.force app.Apps.Registry.program);
+      prime_batch ?noise ~feasible_only:true t probe app configs;
       let keyed =
         List.map (fun config -> (key_of ?noise probe app config, config)) configs
       in
@@ -454,13 +507,15 @@ let eval_all_feasible_on ?noise t probe app configs =
               (journal_fields probe app config))
         (fun config -> eval_feasible_on_uncounted ?noise t probe app config)
 
-let eval_all_segments_on ?noise t probe ~phase ~segmented app configs =
+let eval_all_segments_on ?noise t probe ~phases ~segmented app configs =
+  let phase = Sim.Phase.digest phases in
   match configs with
   | [] -> []
   | [ config ] ->
       [ eval_segments_on ?noise t probe ~phase ~segmented app config ]
   | _ ->
       ignore (Lazy.force app.Apps.Registry.program);
+      prime_batch ?noise ~phases t probe app configs;
       let keyed =
         List.map
           (fun config ->

@@ -92,7 +92,7 @@ val eval_all_segments_on :
   ?noise:float ->
   t ->
   'c Target.probe ->
-  phase:string ->
+  phases:Sim.Phase.t ->
   segmented:(Apps.Registry.t -> 'c -> float * Sim.Profiler.t * Sim.Profiler.t list) ->
   Apps.Registry.t ->
   'c list ->
@@ -101,12 +101,13 @@ val eval_all_segments_on :
     input order, with the same deduplication and pooling as
     {!eval_all_on}: like {!eval_on}, but the simulation is the
     caller-supplied [segmented] function returning [(seconds,
-    whole-run profile, per-phase profiles)], and the memo key is
-    extended with [phase] — the segmentation digest (see
-    {!Sim.Phase.digest}) — so the same configuration's whole-run and
-    per-phase measurements coexist in the cache, and two different
-    segmentations never collide.  [segmented] must be deterministic
-    for the [(phase, configuration)] pair. *)
+    whole-run profile, per-phase profiles)] of a run cut at the
+    boundaries of [phases], and the memo key is extended with the
+    segmentation digest ({!Sim.Phase.digest}), so the same
+    configuration's whole-run and per-phase measurements coexist in
+    the cache, and two different segmentations never collide.
+    [segmented] must be deterministic for the [(phases, configuration)]
+    pair. *)
 
 type admission =
   | Infeasible  (** structurally invalid or exceeds the device *)
@@ -138,11 +139,22 @@ val eval_bounded_on :
     Pruning is exact, not heuristic: searches driven through this path
     select byte-identical winners, just with fewer simulations. *)
 
+val prime :
+  ?noise:float -> t -> 'c Target.probe -> Apps.Registry.t -> 'c list -> unit
+(** Hand a batch of whole-run evaluations of one application to the
+    probe's pricing hook ([probe.prime]) before evaluating them one by
+    one: the configurations the engine would simulate (not those it has
+    cached) are priced in a few walks on the engine's pool, and the
+    evaluations that follow find them memoized.  The batch entry points
+    below do this themselves.  Changes no result and no engine
+    counter. *)
+
 val eval_all_on :
   ?noise:float -> t -> 'c Target.probe -> (Apps.Registry.t * 'c) list -> Cost.t list
 (** Batch {!eval_on}, in input order.  Repeated requests are collapsed
-    before scheduling (counted as [dse.engine.inflight_dedup]) and the
-    distinct ones fan out on the pool. *)
+    before scheduling (counted as [dse.engine.inflight_dedup]), each
+    application's configurations are primed ({!prime}), and the
+    distinct requests fan out on the pool. *)
 
 val eval_all_feasible_on :
   ?noise:float ->
@@ -152,4 +164,5 @@ val eval_all_feasible_on :
   'c list ->
   Cost.t option list
 (** Batch {!eval_feasible_on} for one application, in input order,
-    with the same deduplication and pooling as {!eval_all_on}. *)
+    with the same deduplication, priming (of the valid configurations
+    that fit) and pooling as {!eval_all_on}. *)

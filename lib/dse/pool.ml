@@ -267,6 +267,8 @@ let solver_runner t =
     run_batch = (fun tasks -> run_batch t tasks);
   }
 
+let pricer_runner t = { Sim.Pricer.jobs = size t + 1; run = run_batch t }
+
 let default_mutex = Mutex.create ()
 let default_pool = ref None
 

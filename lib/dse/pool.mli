@@ -60,6 +60,11 @@ val solver_runner : t -> Optim.Binlp.runner
     default on a single-core host — makes the solver take its inline
     sequential path. *)
 
+val pricer_runner : t -> Sim.Pricer.runner
+(** Adapt the pool to {!Sim.Pricer.prime}'s injected execution backend:
+    [jobs] is {!size} [+ 1], since the submitting caller runs tasks
+    too. *)
+
 val run_inline : (unit -> 'a) -> 'a
 (** Run a task on the calling domain, counted against
     [dse.pool.tasks]; sets [dse.pool.workers] to 1 if no pool was ever

@@ -137,16 +137,13 @@ module Make (T : Target.S) = struct
     (** [dims] restricts the model to the given parameter groups (the
         Section 5 study uses dcache ways and way size); default all
         groups (18 groups, 52 variables on LEON2).  The per-variable
-        measurements fan out over {!Pool.default}; the result is
-        identical to a sequential build. *)
+        measurements fan out over {!Pool.default} after the whole set
+        has been handed to the pricer as one batch ({!Engine.prime});
+        the result is identical to a sequential build. *)
     let build ?noise ?dims app =
       Obs.Span.with_span ~cat:"dse" "measure.build"
         ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
       @@ fun span ->
-      (* Force the compiled program before any domain fan-out: Lazy is
-         not domain-safe. *)
-      ignore (Lazy.force app.Apps.Registry.program);
-      let base = measure ?noise app T.base in
       let selected_groups =
         match dims with None -> T.groups | Some ds -> ds
       in
@@ -154,6 +151,14 @@ module Make (T : Target.S) = struct
         List.filter (fun v -> List.mem v.T.group selected_groups) T.vars
       in
       Obs.Span.add_attr span "perturbations" (Obs.Json.Int (List.length vars));
+      Engine.prime ?noise (Engine.default ()) T.probe app
+        (T.base
+        :: List.concat_map
+             (fun var ->
+               let reference = reference_config var in
+               [ var.T.apply reference; reference ])
+             vars);
+      let base = measure ?noise app T.base in
       let measure_var var =
         Obs.Span.with_span ~cat:"dse" "measure.perturbation"
           ~attrs:[ ("label", Obs.Json.String var.T.label) ]
@@ -1541,7 +1546,6 @@ module Make (T : Target.S) = struct
       if nphases = 1 then static_outcome ~nodes:0 static.Optimizer.config
       else begin
         let boundaries = Sim.Phase.boundaries phases in
-        let digest = Sim.Phase.digest phases in
         let segmented app config =
           let ph = T.run_app_segmented ~config ~boundaries app in
           ( Sim.Machine.seconds ph.Sim.Machine.result,
@@ -1567,7 +1571,7 @@ module Make (T : Target.S) = struct
             ~attrs:[ ("app", Obs.Json.String app.Apps.Registry.name) ]
             (fun () ->
               Engine.eval_all_segments_on ?noise (Engine.default ()) T.probe
-                ~phase:digest ~segmented app configs)
+                ~phases ~segmented app configs)
         in
         let sec_tbl = Hashtbl.create 64 in
         List.iter2

@@ -28,6 +28,13 @@ type 'c probe = {
   device_brams : int;
   simulate : Apps.Registry.t -> 'c -> float * Sim.Profiler.t;
       (** cycle-accurate (seconds, profile) of one application run *)
+  prime :
+    Sim.Pricer.runner -> Apps.Registry.t -> boundaries:int list -> 'c list -> unit;
+      (** prices ahead, on the runner, what evaluating these
+          configurations of the application will replay — whole runs
+          when [boundaries = []], runs cut at the boundaries otherwise
+          ({!Sim.Pricer.prime}) — so the [simulate] and segmented calls
+          that follow find it memoized; their results do not change *)
   static_bounds : (Apps.Registry.t -> 'c -> float * float) option;
       (** sound [best, worst] runtime bounds (seconds, full
           reps-scaled run — the same unit [simulate] reports) computed

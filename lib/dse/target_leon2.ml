@@ -383,6 +383,11 @@ let probe =
             (Lazy.force app.Apps.Registry.program)
         in
         (Sim.Machine.seconds result, result.Sim.Machine.profile));
+    prime =
+      (fun runner app ~boundaries configs ->
+        Sim.Pricer.prime ~runner ~boundaries
+          (Sim.Pricer.stored (Lazy.force app.Apps.Registry.program))
+          configs);
     static_bounds =
       Some (fun app config -> Bounds.app_bounds (cycle_model config) app);
   }

@@ -28,6 +28,10 @@ val program : Minic.Ast.program QCheck2.Gen.t
 
 val print_program : Minic.Ast.program -> string
 
+val cache : Arch.Config.cache QCheck2.Gen.t
+(** Uniform draw over the structural cache space (ways, way size,
+    line size, and a replacement policy the associativity allows). *)
+
 val config : Arch.Config.t QCheck2.Gen.t
 (** Uniform draw over the structural configuration space; always
     passes {!Arch.Config.validate}. *)

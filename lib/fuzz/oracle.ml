@@ -343,6 +343,148 @@ let phased_pricer_vs_sim =
           check "leon2" leon2 && check "microblaze" mb);
     }
 
+(* Explicit multi-worker pools, created lazily so the domains only
+   spawn when an oracle that uses them runs, and joined at exit.  The
+   host may have a single core — the point is scheduling interleaving,
+   not speed. *)
+let par_pools =
+  lazy
+    (let mk w =
+       let p = Dse.Pool.create ~workers:w () in
+       at_exit (fun () -> Dse.Pool.shutdown p);
+       p
+     in
+     (mk 2, mk 4))
+
+(* Batch pricing against single pricing.  A batch of 2 to 8 random
+   LEON2 configurations — their dcaches mostly direct-mapped, otherwise
+   uniform over ways, way sizes, both line sizes and every policy, their
+   window counts over the valid range — is primed as one batch on one
+   recording, for whole runs or for runs cut at 1 to 3 identity
+   switches, its walks balanced for 1 to 4 workers and run in turn or on
+   a 2-worker pool.  Every configuration must then price from the memo
+   without another walk, exactly as it prices alone on a recording that
+   was never primed, and one drawn configuration exactly as
+   Machine.run_phased simulates it. *)
+type batch_case = {
+  program : Minic.Ast.program;
+  configs : Arch.Config.t list;
+  cuts : int list;  (* identity-switch boundaries, per mille; [] = whole runs *)
+  jobs : int;  (* 0: a 2-worker pool *)
+  reps : int;
+  pick : int;
+}
+
+let batch_case =
+  let open QCheck2.Gen in
+  let* program = Gen.program in
+  let direct =
+    let* way_kb = oneofl Arch.Config.valid_way_kbs in
+    let+ line_words = oneofl Arch.Config.valid_line_words in
+    { Arch.Config.ways = 1; way_kb; line_words; replacement = Arch.Config.Random }
+  in
+  let config =
+    let* c = Gen.config in
+    let+ dcache = frequency [ (2, direct); (1, Gen.cache) ] in
+    { c with Arch.Config.dcache }
+  in
+  let* n = int_range 2 8 in
+  let* configs = list_repeat n config in
+  let* k = int_range 0 3 in
+  let* cuts = list_repeat k (int_range 0 1000) in
+  let* jobs = int_range 0 4 in
+  let* reps = int_range 2 4 in
+  let+ pick = int_bound (n - 1) in
+  { program; configs; cuts; jobs; reps; pick }
+
+let print_batch_case c =
+  Printf.sprintf "// cuts (per mille): %s\n// jobs: %d, reps: %d, pick: %d\n%s%s"
+    (String.concat " " (List.map string_of_int c.cuts))
+    c.jobs c.reps c.pick
+    (String.concat ""
+       (List.map (fun x -> "// config: " ^ Gen.print_config x ^ "\n") c.configs))
+    (Gen.print_program c.program)
+
+(* [f ()] and the event-stream walks it took. *)
+let walked f =
+  let count () =
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "sim.pricer.walks"
+  in
+  let before = count () in
+  let r = f () in
+  (r, count () - before)
+
+let pricer_batch_vs_single =
+  T
+    {
+      name = "pricer-batch-vs-single";
+      doc =
+        "Sim.Pricer.prime over a random batch of dcaches and window counts, \
+         whole or cut at identity switches, prices every configuration as \
+         it prices alone, and a drawn one as Machine.run_phased simulates it";
+      gen = batch_case;
+      print = print_batch_case;
+      prop =
+        (fun c ->
+          checked c.program;
+          List.iter
+            (fun x ->
+              match Arch.Config.validate x with
+              | Ok () -> ()
+              | Error m -> T2.fail_reportf "generator emitted invalid config: %s" m)
+            c.configs;
+          let prog = Minic.Codegen.compile c.program in
+          let solo = Sim.Pricer.record prog in
+          let total =
+            (Sim.Pricer.price solo Arch.Config.base).Sim.Machine.profile
+              .Sim.Profiler.instructions
+          in
+          let boundaries =
+            List.sort_uniq compare
+              (List.map (fun f -> max 1 (total * f / 1000)) c.cuts)
+          in
+          let batch = Sim.Pricer.record prog in
+          let runner =
+            if c.jobs = 0 then Dse.Pool.pricer_runner (fst (Lazy.force par_pools))
+            else { Sim.Pricer.sequential with jobs = c.jobs }
+          in
+          Sim.Pricer.prime ~runner ~boundaries batch c.configs;
+          let price tr config =
+            Sim.Pricer.price_phased ~reps:c.reps
+              ~switches:(Sim.Machine.identity_switches ~boundaries config)
+              tr config
+          in
+          let pp ppf (ph : Sim.Machine.phased) =
+            Fmt.pf ppf "cold %d, warm %d@ %a@ phases %a"
+              ph.Sim.Machine.result.Sim.Machine.cold_cycles
+              ph.Sim.Machine.result.Sim.Machine.warm_cycles Sim.Profiler.pp
+              ph.Sim.Machine.result.Sim.Machine.profile (Fmt.list Sim.Profiler.pp)
+              ph.Sim.Machine.phase_profiles
+          in
+          List.for_all
+            (fun config ->
+              let batched, extra = walked (fun () -> price batch config) in
+              let single = price solo config in
+              (extra = 0
+              || T2.fail_reportf "%s: primed, yet priced with %d more walks"
+                   (Gen.print_config config) extra)
+              && (batched = single
+                 || T2.fail_reportf "%s: batched@ %a@ single@ %a"
+                      (Gen.print_config config) pp batched pp single))
+            c.configs
+          &&
+          let config = List.nth c.configs c.pick in
+          let sim =
+            Sim.Machine.run_phased ~reps:c.reps
+              ~switches:(Sim.Machine.identity_switches ~boundaries config)
+              config prog
+          in
+          let batched = price batch config in
+          sim = batched
+          || T2.fail_reportf "%s: batched@ %a@ simulated@ %a"
+               (Gen.print_config config) pp batched pp sim);
+    }
+
 let optimize_preserves =
   T
     {
@@ -574,19 +716,6 @@ let binlp_nonfinite =
                   s.Optim.Binlp.objective;
               true);
     }
-
-(* Explicit multi-worker pools, created lazily so the domains only
-   spawn when this oracle actually runs, and joined at exit.  The host
-   may have a single core — the point is scheduling interleaving, not
-   speed. *)
-let par_pools =
-  lazy
-    (let mk w =
-       let p = Dse.Pool.create ~workers:w () in
-       at_exit (fun () -> Dse.Pool.shutdown p);
-       p
-     in
-     (mk 2, mk 4))
 
 let binlp_par =
   T
@@ -1151,6 +1280,7 @@ let all =
     interp_vs_sim;
     pricer_vs_sim;
     phased_pricer_vs_sim;
+    pricer_batch_vs_single;
     optimize_preserves;
     lint_sound;
     codec_roundtrip;

@@ -55,6 +55,16 @@ val phased_pricer_vs_sim : t
     {!Sim.Machine.run_phased}, record for record, plus priced against
     simulated {!Sim.Phase} detection at a random window of 64..4096. *)
 
+val pricer_batch_vs_single : t
+(** Random program x a batch of 2..8 random LEON2 configurations (their
+    dcaches mostly direct-mapped, otherwise uniform over ways, way sizes,
+    line sizes and policies; window counts over the valid range) x whole
+    runs or 1..3 identity-switch boundaries x 1..4 workers or a 2-worker
+    pool: {!Sim.Pricer.prime} on one recording, then every configuration
+    priced without another walk and bit-identical to its price on a
+    never-primed recording, and a drawn one bit-identical to
+    {!Sim.Machine.run_phased}. *)
+
 val optimize_preserves : t
 (** [--O1]/[--O2] program against the unoptimized interpretation, both
     interpreted and compiled. *)

@@ -5,6 +5,8 @@ type stats = {
   mutable write_misses : int;
 }
 
+type geometry = { line_shift : int; sets : int; ways : int }
+
 type t = {
   ways : int;
   line_bytes : int;
@@ -21,6 +23,14 @@ type t = {
 let log2 n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
   go 0
+
+let geometry (c : Arch.Config.cache) : geometry =
+  let line_bytes = c.line_words * 4 in
+  {
+    line_shift = log2 line_bytes;
+    sets = c.way_kb * 1024 / line_bytes;
+    ways = c.ways;
+  }
 
 let create ~ways ~way_kb ~line_words ~replacement ~rng =
   if ways < 1 then invalid_arg "Cache.create: ways must be >= 1";

@@ -28,6 +28,15 @@ val create :
 
 val of_config : Arch.Config.cache -> rng:Rng.t -> t
 
+type geometry = {
+  line_shift : int;  (** log2 of the line size in bytes *)
+  sets : int;  (** line indices per way *)
+  ways : int;
+}
+
+val geometry : Arch.Config.cache -> geometry
+(** The shape {!of_config} gives the cache, without allocating it. *)
+
 val read : t -> int -> bool
 (** [read t addr] probes and updates the cache for a read of [addr];
     returns [true] on hit.  A miss fills the line. *)

@@ -7,7 +7,11 @@ let m_records =
 
 let m_replays =
   Obs.Metrics.Counter.v "sim.pricer.replays"
-    ~help:"cache replays (icache, or dcache with window traps) computed"
+    ~help:"cache configurations replayed (icache, or dcache with window traps)"
+
+let m_walks =
+  Obs.Metrics.Counter.v "sim.pricer.walks"
+    ~help:"event-stream walks, each driving one or more dcache replays"
 
 (* A domain-safe memo table with in-flight dedup: the first caller of a
    key computes it while concurrent callers of the same key wait.  A
@@ -31,20 +35,38 @@ module Memo = struct
         | None -> Hashtbl.remove t.tbl k);
         Condition.broadcast t.ready)
 
+  (* Claims [k] for the caller, who must then settle it, when no one
+     has computed or is computing it. *)
+  let claim t k =
+    Mutex.protect t.lock (fun () ->
+        if Hashtbl.mem t.tbl k then false
+        else begin
+          Hashtbl.replace t.tbl k Running;
+          true
+        end)
+
+  (* Gives up the caller's claim on [k] if it is still unsettled. *)
+  let abandon t k =
+    Mutex.protect t.lock (fun () ->
+        if Hashtbl.find_opt t.tbl k = Some Running then begin
+          Hashtbl.remove t.tbl k;
+          Condition.broadcast t.ready
+        end)
+
   let find t k compute =
     let cached =
       Mutex.protect t.lock (fun () ->
-          let rec claim () =
+          let rec wait () =
             match Hashtbl.find_opt t.tbl k with
             | Some (Done v) -> Some v
             | Some Running ->
                 Condition.wait t.ready t.lock;
-                claim ()
+                wait ()
             | None ->
                 Hashtbl.replace t.tbl k Running;
                 None
           in
-          claim ())
+          wait ())
     in
     match cached with
     | Some v -> v
@@ -97,6 +119,10 @@ type dcounts = { read_misses : int; overflows : int; underflows : int }
    segment [g - 1].  Entry 0 is never [None]. *)
 type plan = Arch.Config.cache option array
 
+(* A dcache replay's memo key: the cache plan, the window class and the
+   boundaries. *)
+type dkey = plan * int * int array
+
 type trace = {
   text : text;
   mem_size : int;
@@ -105,7 +131,7 @@ type trace = {
   resident_peak : int;  (* over both epochs, see {!Tape.t} *)
   splits : (int array, seg array) Memo.t;
   imemo : (plan * int array, int array) Memo.t;
-  dmemo : (plan * int * int array, dcounts array) Memo.t;
+  dmemo : (dkey, dcounts array) Memo.t;
 }
 
 let tape_bytes tr =
@@ -304,13 +330,7 @@ let event_cuts nb events =
       !acc)
 
 (* ------------------------------------------------------------------ *)
-(* Replays                                                             *)
-
-let log2 n =
-  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
-  go 0
-
-let cache_of seed (c : Arch.Config.cache) = Cache.of_config c ~rng:(Rng.create ~seed)
+(* Icache replays                                                      *)
 
 (* The segment after [g] where the plan starts a new cache. *)
 let chain_end (plan : plan) g =
@@ -328,16 +348,15 @@ let first_fetches text (plan : plan) (segs : seg array) =
   let rec chain g =
     g >= Array.length plan
     ||
-    let cache = cache_of 0x1CE (Option.get plan.(g)) in
-    let line_log2 = log2 (Cache.line_bytes cache) in
-    let sets = Cache.sets cache in
-    let fetched = Array.make (((4 * n) lsr line_log2) + 1) false in
+    let geo = Cache.geometry (Option.get plan.(g)) in
+    let line_shift = geo.Cache.line_shift and sets = geo.Cache.sets in
+    let fetched = Array.make (((4 * n) lsr line_shift) + 1) false in
     let per_set = Array.make sets 0 in
     let stop = chain_end plan g in
     for k = g to stop - 1 do
       Array.iteri
         (fun i c ->
-          let l = (4 * i) lsr line_log2 in
+          let l = (4 * i) lsr line_shift in
           if c > 0 && not fetched.(l) then begin
             fetched.(l) <- true;
             misses.(k) <- misses.(k) + 1;
@@ -345,7 +364,7 @@ let first_fetches text (plan : plan) (segs : seg array) =
           end)
         segs.(k).counts
     done;
-    Array.for_all (fun c -> c <= Cache.ways cache) per_set && chain stop
+    Array.for_all (fun c -> c <= geo.Cache.ways) per_set && chain stop
   in
   if chain 0 then Some misses else None
 
@@ -360,16 +379,17 @@ let walk_icache text tapes ~bounds (plan : plan) =
   let misses = Array.make (Array.length plan) 0 in
   let per_epoch = Array.length bounds + 1 in
   let g = ref 0 in
-  let cache = ref (cache_of 0x1CE (Option.get plan.(0))) in
-  let line_log2 = ref (log2 (Cache.line_bytes !cache)) in
+  let fresh c = Cache.of_config c ~rng:(Rng.create ~seed:0x1CE) in
+  let cache = ref (fresh (Option.get plan.(0))) in
+  let line_shift = ref (Cache.geometry (Option.get plan.(0))).Cache.line_shift in
   let last = ref (-1) in
   let enter k =
     while !g < k do
       incr g;
       match plan.(!g) with
       | Some c ->
-          cache := cache_of 0x1CE c;
-          line_log2 := log2 (Cache.line_bytes !cache);
+          cache := fresh c;
+          line_shift := (Cache.geometry c).Cache.line_shift;
           last := -1
       | None -> ()
     done
@@ -382,7 +402,7 @@ let walk_icache text tapes ~bounds (plan : plan) =
         ~piece:(fun s first stop ->
           let k = base + s in
           if k <> !g then enter k;
-          let c = !cache and ll = !line_log2 in
+          let c = !cache and ll = !line_shift in
           (* instruction index -> line: 4-byte instructions *)
           let shift = ll - 2 in
           for line = first lsr shift to stop lsr shift do
@@ -396,6 +416,120 @@ let walk_icache text tapes ~bounds (plan : plan) =
       enter (base + per_epoch - 1))
     tapes;
   misses
+
+(* ------------------------------------------------------------------ *)
+(* The dcache walk                                                     *)
+
+(* Direct-mapped caches of one line size, driven as one inclusion lane.
+   A direct-mapped cache changes state only when a read misses: a read
+   hit has no victim order to touch, and under write-no-allocate a write
+   fills nothing.  So each set holds the most recently read line the set
+   admits, and when one cache has [S] sets and another [2S], every line
+   the smaller holds the larger holds too.  A read probes the caches
+   smallest first and stops at the first hit; writes are ignored.
+   [last] is a line every cache holds: reading it again changes
+   nothing. *)
+module Inclusion = struct
+  type t = {
+    shift : int;
+    sets : int array;  (* per cache, smallest first *)
+    lines : int array array;  (* per cache, the line each set holds, or -1 *)
+    misses : int array array;  (* per cache, read misses per segment *)
+    mutable last : int;
+  }
+
+  let create ~segments (caches : Arch.Config.cache list) =
+    let geos = List.map Cache.geometry caches in
+    let shift =
+      match geos with
+      | g :: _ -> g.Cache.line_shift
+      | [] -> invalid_arg "Pricer.Inclusion: no caches"
+    in
+    if List.exists (fun g -> g.Cache.ways <> 1 || g.Cache.line_shift <> shift) geos
+    then invalid_arg "Pricer.Inclusion: caches must be direct-mapped, one line size";
+    let sets =
+      Array.of_list (List.sort_uniq compare (List.map (fun g -> g.Cache.sets) geos))
+    in
+    {
+      shift;
+      sets;
+      lines = Array.map (fun n -> Array.make n (-1)) sets;
+      misses = Array.map (fun _ -> Array.make segments 0) sets;
+      last = -1;
+    }
+
+  let misses t (c : Arch.Config.cache) =
+    let g = Cache.geometry c in
+    match Array.find_index (( = ) g.Cache.sets) t.sets with
+    | Some i when g.Cache.ways = 1 && g.Cache.line_shift = t.shift -> t.misses.(i)
+    | _ -> invalid_arg "Pricer.Inclusion.misses: not in the lane"
+
+  let read t ~segment addr =
+    let line = addr lsr t.shift in
+    if line <> t.last then begin
+      t.last <- line;
+      let n = Array.length t.sets in
+      let i = ref 0 in
+      while !i < n do
+        let lines = t.lines.(!i) in
+        let set = line land (t.sets.(!i) - 1) in
+        if lines.(set) = line then i := n
+        else begin
+          lines.(set) <- line;
+          let m = t.misses.(!i) in
+          m.(segment) <- m.(segment) + 1;
+          incr i
+        end
+      done
+    end
+end
+
+(* Any other cache is its own {!Cache.t} under the simulator's [dlast]
+   rule. *)
+type assoc = {
+  cache : Cache.t;
+  ashift : int;
+  amisses : int array;  (* read misses per segment *)
+  mutable alast : int;
+}
+
+(* The lanes that drive [caches], fresh, and for each cache the array
+   its read misses per segment (of [nseg]) accumulate in.  Equal caches
+   share a lane. *)
+let lanes_of nseg (caches : Arch.Config.cache array) =
+  let direct, assoc =
+    List.partition (fun (c : Arch.Config.cache) -> c.Arch.Config.ways = 1)
+      (Array.to_list caches)
+  in
+  let words (c : Arch.Config.cache) = c.Arch.Config.line_words in
+  let direct =
+    List.map
+      (fun w ->
+        let lane = List.filter (fun c -> words c = w) direct in
+        (w, Inclusion.create ~segments:nseg lane))
+      (List.sort_uniq compare (List.map words direct))
+  in
+  let assoc =
+    List.map
+      (fun c ->
+        ( c,
+          {
+            cache = Cache.of_config c ~rng:(Rng.create ~seed:0xDCE);
+            ashift = (Cache.geometry c).Cache.line_shift;
+            amisses = Array.make nseg 0;
+            alast = -1;
+          } ))
+      (List.sort_uniq compare assoc)
+  in
+  let sources =
+    Array.map
+      (fun (c : Arch.Config.cache) ->
+        if c.Arch.Config.ways = 1 then
+          Inclusion.misses (List.assoc (words c) direct) c
+        else (List.assoc c assoc).amisses)
+      caches
+  in
+  (Array.of_list (List.map snd direct), Array.of_list (List.map snd assoc), sources)
 
 (* Each frame's [%sp] by call depth: 0 is the entry frame, negative
    depths are frames a program returns past.  Grows in both
@@ -414,52 +548,109 @@ let rec slot f d =
     slot f d
   end
 
-(* The dcache sees loads and stores in program order, with the window
+(* One walk of the event stream drives every cache plan of [plans] as a
+   lane; the plans must restart their caches at the same segments.  The
+   dcache sees loads and stores in program order, with the window
    traps' spill stores and fill loads interleaved where [nwin] puts
-   them.  The trap model is the simulator's: [resident] frames occupy
-   windows; a save with [nwin - 1] resident spills the oldest frame at
-   its [%sp], a restore with one resident fills the caller at its
-   [%sp].  Both go through the plain cache entry points in
-   [spill_window]/[fill_window] order and invalidate [dlast].  The
-   window state is architectural, so it runs from each epoch's start
-   whatever the plan does to the cache.  [epochs] are the walked
-   epochs in order, each with its {!event_cuts}. *)
-let replay_dcache ~mem_size epochs ~nwin (plan : plan) =
-  Obs.Metrics.Counter.incr m_replays;
-  let nseg = Array.length plan in
-  let misses = Array.make nseg 0 in
+   them.  The trap model is the simulator's and runs once for all
+   lanes: [resident] frames occupy windows; a save with [nwin - 1]
+   resident spills the oldest frame at its [%sp], a restore with one
+   resident fills the caller at its [%sp].  Both go through the plain
+   cache entry points in [spill_window]/[fill_window] order and
+   invalidate [dlast].  The window state is architectural, so it runs
+   from each epoch's start whatever the plans do to the caches.
+   [epochs] are the walked epochs in order, each with its
+   {!event_cuts}.  Returns each plan's counts per segment. *)
+let walk_dcache ~mem_size epochs ~nwin (plans : plan array) =
+  Obs.Metrics.Counter.incr m_walks;
+  Obs.Metrics.Counter.incr ~by:(Array.length plans) m_replays;
+  let nseg =
+    List.fold_left (fun n (_, cuts) -> n + Array.length cuts + 1) 0 epochs
+  in
+  let out = Array.map (fun _ -> Array.make nseg 0) plans in
   let overflows = Array.make nseg 0 and underflows = Array.make nseg 0 in
+  let directs = ref [||] and assocs = ref [||] and sources = ref [||] in
+  let chain = ref 0 in
+  (* the lanes of the chain starting at segment [c] *)
+  let start c =
+    chain := c;
+    let d, a, s =
+      lanes_of nseg (Array.map (fun plan -> Option.get plan.(c)) plans)
+    in
+    directs := d;
+    assocs := a;
+    sources := s
+  in
+  let close stop =
+    Array.iteri
+      (fun p src -> Array.blit src !chain out.(p) !chain (stop - !chain))
+      !sources
+  in
+  start 0;
   let g = ref 0 in
-  let cache = ref (cache_of 0xDCE (Option.get plan.(0))) in
-  let dshift = ref (log2 (Cache.line_bytes !cache)) in
-  let dlast = ref (-1) in
   let enter k =
     while !g < k do
       incr g;
-      match plan.(!g) with
-      | Some c ->
-          cache := cache_of 0xDCE c;
-          dshift := log2 (Cache.line_bytes !cache);
-          dlast := -1
-      | None -> ()
+      if plans.(0).(!g) <> None then begin
+        close !g;
+        start !g
+      end
     done
   in
-  let read addr =
-    if not (Cache.read !cache addr) then misses.(!g) <- misses.(!g) + 1
+  let load addr =
+    let k = !g in
+    let ds = !directs in
+    for j = 0 to Array.length ds - 1 do
+      Inclusion.read ds.(j) ~segment:k addr
+    done;
+    let xs = !assocs in
+    for j = 0 to Array.length xs - 1 do
+      let a = xs.(j) in
+      let line = addr lsr a.ashift in
+      if line <> a.alast then begin
+        a.alast <- line;
+        if not (Cache.read a.cache addr) then a.amisses.(k) <- a.amisses.(k) + 1
+      end
+    done
+  in
+  let store addr =
+    let xs = !assocs in
+    for j = 0 to Array.length xs - 1 do
+      let a = xs.(j) in
+      let line = addr lsr a.ashift in
+      if line <> a.alast && Cache.write a.cache addr then a.alast <- line
+    done
   in
   let spill sp =
-    for k = 0 to 7 do
-      ignore (Cache.write !cache (sp + (4 * k)));
-      ignore (Cache.write !cache (sp + 32 + (4 * k)))
-    done;
-    dlast := -1
+    Array.iter
+      (fun a ->
+        for w = 0 to 7 do
+          ignore (Cache.write a.cache (sp + (4 * w)));
+          ignore (Cache.write a.cache (sp + 32 + (4 * w)))
+        done;
+        a.alast <- -1)
+      !assocs
   in
   let fill sp =
-    for k = 0 to 7 do
-      read (sp + (4 * k));
-      read (sp + 32 + (4 * k))
-    done;
-    dlast := -1
+    let k = !g in
+    Array.iter
+      (fun d ->
+        for w = 0 to 7 do
+          Inclusion.read d ~segment:k (sp + (4 * w));
+          Inclusion.read d ~segment:k (sp + 32 + (4 * w))
+        done)
+      !directs;
+    let read a addr =
+      if not (Cache.read a.cache addr) then a.amisses.(k) <- a.amisses.(k) + 1
+    in
+    Array.iter
+      (fun a ->
+        for w = 0 to 7 do
+          read a (sp + (4 * w));
+          read a (sp + 32 + (4 * w))
+        done;
+        a.alast <- -1)
+      !assocs
   in
   List.iteri
     (fun ep ((tape : Tape.t), cuts) ->
@@ -490,18 +681,13 @@ let replay_dcache ~mem_size epochs ~nwin (plan : plan) =
           if !counted = !next then advance ();
           incr counted;
           addr := !addr + Tape.unzigzag payload;
-          let line = !addr lsr !dshift in
-          if line <> !dlast then begin
-            dlast := line;
-            read !addr
-          end
+          load !addr
         end
         else if kind = Tape.ev_store then begin
           if !counted = !next then advance ();
           incr counted;
           addr := !addr + Tape.unzigzag payload;
-          let line = !addr lsr !dshift in
-          if line <> !dlast && Cache.write !cache !addr then dlast := line
+          store !addr
         end
         else if kind = Tape.ev_set_sp then set_sp !depth payload
         else if kind = Tape.ev_set_fp then set_sp (!depth - 1) payload
@@ -529,12 +715,29 @@ let replay_dcache ~mem_size epochs ~nwin (plan : plan) =
       done;
       enter (base + nb))
     epochs;
-  Array.init nseg (fun k ->
-      {
-        read_misses = misses.(k);
-        overflows = overflows.(k);
-        underflows = underflows.(k);
-      })
+  close nseg;
+  Array.map
+    (fun misses ->
+      Array.init nseg (fun k ->
+          {
+            read_misses = misses.(k);
+            overflows = overflows.(k);
+            underflows = underflows.(k);
+          }))
+    out
+
+(* The walked epochs of [tr] cut at [bounds], as {!walk_dcache} takes
+   them, from [segs], the {!split} at [bounds]. *)
+let dcache_epochs tr bounds segs =
+  let nb = Array.length bounds in
+  [
+    (tr.cold.tape, event_cuts nb (fun s -> segs.(s).events));
+    (tr.warm.tape, event_cuts nb (fun s -> segs.(nb + 1 + s).events));
+  ]
+
+(* Every window count that never overflows walks alike. *)
+let dcache_key tr ~bounds ~nwin (plan : plan) : dkey =
+  (plan, min nwin (tr.resident_peak + 2), bounds)
 
 (* ------------------------------------------------------------------ *)
 (* Pricing                                                             *)
@@ -661,16 +864,10 @@ let price_phased ?(reps = 1) ?(shift_stall = 0) ?(keep_caches = false)
         | Some misses -> misses
         | None -> walk_icache tr.text [ tr.cold.tape; tr.warm.tape ] ~bounds iplan)
   in
-  (* every window count that never overflows replays alike *)
-  let nwin_class = min nwin (tr.resident_peak + 2) in
   let dcounts =
-    Memo.find tr.dmemo (dplan, nwin_class, bounds) (fun () ->
-        replay_dcache ~mem_size:tr.mem_size
-          [
-            (tr.cold.tape, event_cuts (per - 1) (fun s -> segs.(s).events));
-            (tr.warm.tape, event_cuts (per - 1) (fun s -> segs.(per + s).events));
-          ]
-          ~nwin dplan)
+    Memo.find tr.dmemo (dcache_key tr ~bounds ~nwin dplan) (fun () ->
+        (walk_dcache ~mem_size:tr.mem_size (dcache_epochs tr bounds segs) ~nwin
+           [| dplan |]).(0))
   in
   let models = ref [] in
   let model key =
@@ -758,19 +955,147 @@ let windows ?(shift_stall = 0) tr (config : Arch.Config.t) ~window =
     walk_icache tr.text [ tr.cold.tape ] ~bounds (plan config.Arch.Config.icache)
   in
   let dcounts =
-    replay_dcache ~mem_size:tr.mem_size
-      [ (tr.cold.tape, event_cuts (nw - 1) (Array.get events)) ]
-      ~nwin:config.Arch.Config.iu.Arch.Config.reg_windows
-      (plan config.Arch.Config.dcache)
+    (walk_dcache ~mem_size:tr.mem_size
+       [ (tr.cold.tape, event_cuts (nw - 1) (Array.get events)) ]
+       ~nwin:config.Arch.Config.iu.Arch.Config.reg_windows
+       [| plan config.Arch.Config.dcache |]).(0)
   in
   Array.iteri (fun g p -> add_replays cm p ~imiss:imiss.(g) dcounts.(g)) profiles;
   profiles
 
 (* ------------------------------------------------------------------ *)
+(* Batches                                                             *)
+
+type runner = { jobs : int; run : (unit -> unit) list -> unit }
+
+let sequential = { jobs = 1; run = List.iter (fun task -> task ()) }
+
+(* What a walk's parts cost, relative to one {!Cache.t} lane: decoding
+   the events and running the window model, and an inclusion lane of
+   [n] caches (measured on blastn, dct and phases; see EXPERIMENTS.md). *)
+let walk_cost = 2.0
+let assoc_cost = 1.0
+let direct_cost n = 0.4 +. (0.05 *. float_of_int (n - 1))
+
+(* One walk: the window count it runs, and its parts, each an
+   inclusion lane or a {!Cache.t} lane with its cost and the replays
+   (by memo key) it settles. *)
+type walk = { nwin : int; parts : (float * dkey list) list }
+
+let walk_total w = List.fold_left (fun acc (c, _) -> acc +. c) walk_cost w.parts
+
+(* The finishing time of [walks] placed largest first, each on the
+   least loaded of [jobs] workers. *)
+let makespan jobs walks =
+  let load = Array.make (max 1 jobs) 0.0 in
+  List.iter
+    (fun c ->
+      let i = ref 0 in
+      Array.iteri (fun j l -> if l < load.(!i) then i := j) load;
+      load.(!i) <- load.(!i) +. c)
+    (List.sort (fun a b -> compare b a) (List.map walk_total walks));
+  Array.fold_left Float.max 0.0 load
+
+(* Splits the costliest walk with at least two parts in two halves of
+   about equal cost, for as long as that shortens the makespan. *)
+let rec balance jobs walks =
+  let splittable = List.filter (fun w -> List.length w.parts > 1) walks in
+  match List.sort (fun a b -> compare (walk_total b) (walk_total a)) splittable with
+  | [] -> walks
+  | w :: _ ->
+      let halve (a, ca, b, cb) ((c, _) as part) =
+        if ca <= cb then (part :: a, ca +. c, b, cb) else (a, ca, part :: b, cb +. c)
+      in
+      let a, _, b, _ =
+        List.fold_left halve ([], 0.0, [], 0.0)
+          (List.sort (fun (c, _) (d, _) -> compare d c) w.parts)
+      in
+      let split =
+        { w with parts = a } :: { w with parts = b }
+        :: List.filter (fun x -> x != w) walks
+      in
+      if makespan jobs split < makespan jobs walks then balance jobs split
+      else walks
+
+let plan_of ((plan, _, _) : dkey) = plan
+
+(* The parts of one window class's walk: one inclusion lane per line
+   size, one lane per other cache. *)
+let parts keys =
+  let cache key = Option.get (plan_of key).(0) in
+  let direct, assoc =
+    List.partition (fun key -> (cache key).Arch.Config.ways = 1) keys
+  in
+  let words key = (cache key).Arch.Config.line_words in
+  List.map
+    (fun w ->
+      let lane = List.filter (fun key -> words key = w) direct in
+      (direct_cost (List.length lane), lane))
+    (List.sort_uniq compare (List.map words direct))
+  @ List.map (fun key -> (assoc_cost, [ key ])) assoc
+
+let prime ?(runner = sequential) ?(boundaries = []) tr configs =
+  let bounds = Array.of_list boundaries in
+  ignore
+    (Array.fold_left
+       (fun prev b ->
+         if b <= prev then
+           invalid_arg "Pricer.prime: boundaries must be strictly increasing";
+         b)
+       0 bounds);
+  let per = Array.length bounds + 1 in
+  let claimed =
+    List.filter_map
+      (fun (c : Arch.Config.t) ->
+        let nwin = c.Arch.Config.iu.Arch.Config.reg_windows in
+        let plan =
+          Array.init (2 * per) (fun g ->
+              if g = 0 then Some c.Arch.Config.dcache else None)
+        in
+        let key = dcache_key tr ~bounds ~nwin plan in
+        if Arch.Config.is_valid c && Memo.claim tr.dmemo key then Some (nwin, key)
+        else None)
+      configs
+  in
+  let class_of (_, (_, cls, _)) = cls in
+  let walks =
+    List.map
+      (fun cls ->
+        let members = List.filter (fun m -> class_of m = cls) claimed in
+        { nwin = fst (List.hd members); parts = parts (List.map snd members) })
+      (List.sort_uniq compare (List.map class_of claimed))
+  in
+  let task w () =
+    let keys = List.concat_map snd w.parts in
+    Obs.Span.with_ ~cat:"sim" "sim.walk"
+      ~attrs:[ ("lanes", Obs.Json.Int (List.length keys)) ]
+    @@ fun () ->
+    let counts =
+      walk_dcache ~mem_size:tr.mem_size
+        (dcache_epochs tr bounds (split tr bounds))
+        ~nwin:w.nwin
+        (Array.of_list (List.map plan_of keys))
+    in
+    List.iteri (fun i key -> Memo.settle tr.dmemo key (Some counts.(i))) keys
+  in
+  (* a walk that failed or never ran gives its claims up, so a later
+     price computes them *)
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (_, key) -> Memo.abandon tr.dmemo key) claimed)
+    (fun () ->
+      runner.run
+        (List.map task
+           (List.sort
+              (fun a b -> compare (walk_total b) (walk_total a))
+              (balance runner.jobs walks))))
+
+(* ------------------------------------------------------------------ *)
 (* The trace store                                                     *)
 
 let store : (int * Isa.Program.t, trace) Memo.t = Memo.create ()
-let stored ~mem_size prog =
+
+let stored ?(mem_size = Machine.default_mem_size) prog =
   Memo.find store (mem_size, prog) (fun () -> record ~mem_size prog)
 
 let run ?(mem_size = Machine.default_mem_size) ?reps ?shift_stall config prog =

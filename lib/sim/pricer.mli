@@ -23,6 +23,18 @@
     class, boundaries); all window counts that never overflow share a
     class.
 
+    One walk of a recording's event stream decodes it and runs the
+    window-trap model once, and drives any number of dcache
+    configurations as lanes: direct-mapped caches of one line size as a
+    single inclusion lane, every other cache as its own {!Cache.t}.  A
+    single price is the one-lane walk; {!prime} prices a whole batch in
+    a few walks ahead of its per-configuration calls.
+
+    Work counters: [sim.pricer.records] counts recordings,
+    [sim.pricer.replays] the cache configurations replayed (one per
+    icache walk, one per dcache configuration a walk drives) and
+    [sim.pricer.walks] the event-stream walks.
+
     The result is bit-identical to {!Machine.run_phased} (and so to
     {!Machine.run}) and to {!Phase.detect} for every program whose
     functional behaviour does not depend on the register-window count,
@@ -85,6 +97,41 @@ val windows :
     is memoized.
     @raise Invalid_argument if [config] is invalid or [window < 1]. *)
 
+type runner = {
+  jobs : int;  (** how many tasks [run] can execute at once *)
+  run : (unit -> unit) list -> unit;
+      (** executes every task to completion, re-raising a failure *)
+}
+(** An execution backend for {!prime}'s walks ([sim] sits below the
+    domain pool and cannot name it). *)
+
+val sequential : runner
+(** One task at a time, on the caller. *)
+
+val prime :
+  ?runner:runner ->
+  ?boundaries:int list ->
+  trace ->
+  Arch.Config.t list ->
+  unit
+(** Prices ahead, as one batch, the dcache replays that pricing each
+    configuration on the trace will look up: whole runs without
+    [boundaries], runs cut at [boundaries] over identity switches
+    (what {!Machine.identity_switches} builds) with them.  The batch
+    claims every replay not yet computed or in flight, groups the
+    claimed ones by window class and splits them into walks that keep
+    [runner.jobs] workers about equally busy; a later {!price} or
+    {!price_phased} of a claimed configuration waits for its walk.
+    Invalid configurations are skipped.  Results are the same whether
+    or not a batch was primed.  Counts [sim.pricer.walks] per walk.
+    @raise Invalid_argument if [boundaries] are not strictly increasing
+    positive instruction counts. *)
+
+val stored : ?mem_size:int -> Isa.Program.t -> trace
+(** The program's trace in the process-wide store {!run}, {!run_phased}
+    and {!detect} price from: recorded on first use (concurrent first
+    uses share one recording) and kept until {!clear}. *)
+
 val run :
   ?mem_size:int ->
   ?reps:int ->
@@ -93,9 +140,7 @@ val run :
   Isa.Program.t ->
   Machine.result
 (** Drop-in for {!Machine.run}: same arguments, same result, same
-    [sim.*] metrics.  The program's trace comes from a process-wide
-    store, recorded on the first evaluation (concurrent first
-    evaluations share one recording) and kept until {!clear}. *)
+    [sim.*] metrics, priced from the program's {!stored} trace. *)
 
 val run_phased :
   ?mem_size:int ->
@@ -121,6 +166,32 @@ val detect :
     {!Phase.detect} does not; the recording it makes serves every later
     evaluation of the program.
     @raise Invalid_argument on nonsensical options. *)
+
+(** {2 The inclusion lane} *)
+
+module Inclusion : sig
+  type t
+  (** Direct-mapped dcaches of one line size driven as one lane, as a
+      walk drives them: a read probes the caches smallest first and
+      stops at the first hit.  Exact because a direct-mapped cache
+      changes only on a read miss, so under write-no-allocate a cache
+      with [2S] sets holds every line one with [S] sets holds. *)
+
+  val create : segments:int -> Arch.Config.cache list -> t
+  (** A cold lane over the caches (equal caches share one), counting
+      read misses in [segments] segments.
+      @raise Invalid_argument unless there are caches, all direct-mapped
+      with one line size. *)
+
+  val read : t -> segment:int -> int -> unit
+  (** A read of the address by every cache of the lane, charged to
+      [segment].  Writes need no call: they change no direct-mapped
+      cache. *)
+
+  val misses : t -> Arch.Config.cache -> int array
+  (** The cache's read misses per segment so far.
+      @raise Invalid_argument if the cache is not in the lane. *)
+end
 
 val clear : unit -> unit
 (** Drop every stored trace, so the next evaluation of each program

@@ -1,4 +1,4 @@
-(* Replay-pricing smoke test (@pricer-perf), two checks on LEON2.
+(* Replay-pricing smoke test (@pricer-perf), three checks on LEON2.
 
    Whole runs: BLASTN on every configuration Measure.build evaluates,
    once with the full simulator (Machine.run per configuration) and
@@ -10,11 +10,19 @@
    every configuration Schedule.run measures per phase (the schedule
    dimensions), simulated with Machine.run_phased over identity
    switches and priced with Pricer.record + Pricer.price_phased:
-   bit-identical, and at least [min_segmented_speedup] times faster. *)
+   bit-identical, and at least [min_segmented_speedup] times faster.
+
+   Batches: BLASTN's Measure.build set primed as one batch
+   (Pricer.prime, walks balanced for two workers) on a fresh recording,
+   then priced per configuration: bit-identical to the per-configuration
+   prices above, in exactly [batch_walks] event-stream walks for its
+   [batch_geometries] dcache geometries, and none more while pricing. *)
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 let min_speedup = 5.0
 let min_segmented_speedup = 3.0
+let batch_geometries = 12
+let batch_walks = 2
 
 module T = Dse.Target_leon2
 
@@ -66,6 +74,42 @@ let () =
     "pricer-perf: %d configs bit-identical; simulate %.2fs, record+price \
      %.3fs (%.1fx): ok\n"
     (List.length configs) sim_s price_s speedup;
+  let walks f =
+    let count () =
+      Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "sim.pricer.walks"
+    in
+    let before = count () in
+    let r = f () in
+    (r, count () - before)
+  in
+  let geometries =
+    List.length
+      (List.sort_uniq compare (List.map (fun c -> c.Arch.Config.dcache) configs))
+  in
+  if geometries <> batch_geometries then
+    fail "pricer-perf: %d dcache geometries in the measurement set, expected %d"
+      geometries batch_geometries;
+  let trace = Sim.Pricer.record prog in
+  let (), primed =
+    walks (fun () ->
+        Sim.Pricer.prime
+          ~runner:{ Sim.Pricer.sequential with jobs = 2 }
+          trace configs)
+  in
+  let batched, extra =
+    walks (fun () -> List.map (Sim.Pricer.price ~reps trace) configs)
+  in
+  if batched <> priced then
+    fail "pricer-perf: batch pricing differs from per-config pricing";
+  if primed <> batch_walks || extra <> 0 then
+    fail
+      "pricer-perf: batch of %d geometries took %d walks (+%d while pricing), \
+       expected %d"
+      geometries primed extra batch_walks;
+  Printf.printf
+    "pricer-perf: batch of %d configs (%d dcache geometries) in %d walks, \
+     bit-identical: ok\n"
+    (List.length configs) geometries primed;
   let app = Apps.Extra.phases in
   let prog = Lazy.force app.Apps.Registry.program in
   let reps = app.Apps.Registry.reps in

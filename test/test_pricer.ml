@@ -82,6 +82,101 @@ let test_one_epoch () =
         targets)
     (Apps.Registry.all @ Apps.Extra.all)
 
+(* --- batches ---------------------------------------------------------- *)
+
+(* The inclusion lane against one simulator cache per direct-mapped
+   size, on random read/write streams with [dlast] invalidations (as
+   the window traps make): every size's miss count agrees.  The
+   reference applies the simulator's same-line rule; the lane ignores
+   writes and invalidations. *)
+type access = Read of int | Write of int | Forget
+
+let inclusion_qtest =
+  let open QCheck in
+  let addr =
+    Gen.(map (fun a -> 4 * a) (oneof [ int_bound 1024; int_bound (1 lsl 16) ]))
+  in
+  let access =
+    Gen.frequency
+      [ (6, Gen.map (fun a -> Read a) addr); (3, Gen.map (fun a -> Write a) addr);
+        (1, Gen.return Forget) ]
+  in
+  let print (words, kbs, stream) =
+    Printf.sprintf "%d-word lines, %s KB, %d accesses" words
+      (String.concat "/" (List.map string_of_int kbs)) (List.length stream)
+  in
+  Test.make ~count:300 ~name:"inclusion lane = one Sim.Cache per size"
+    (make ~print
+       Gen.(
+         triple
+           (oneofl Arch.Config.valid_line_words)
+           (list_size (int_range 1 5) (oneofl Arch.Config.valid_way_kbs))
+           (list_size (int_bound 3000) access)))
+    (fun (line_words, kbs, stream) ->
+      let cache way_kb =
+        { Arch.Config.ways = 1; way_kb; line_words; replacement = Arch.Config.Random }
+      in
+      let caches = List.map cache kbs in
+      let lane = Sim.Pricer.Inclusion.create ~segments:1 caches in
+      List.iter
+        (function Read a -> Sim.Pricer.Inclusion.read lane ~segment:0 a | _ -> ())
+        stream;
+      List.for_all
+        (fun c ->
+          let sim = Sim.Cache.of_config c ~rng:(Sim.Rng.create ~seed:0xDCE) in
+          let shift = (Sim.Cache.geometry c).Sim.Cache.line_shift in
+          let last = ref (-1) and misses = ref 0 in
+          List.iter
+            (function
+              | Read a ->
+                  if a lsr shift <> !last then begin
+                    last := a lsr shift;
+                    if not (Sim.Cache.read sim a) then incr misses
+                  end
+              | Write a ->
+                  if a lsr shift <> !last && Sim.Cache.write sim a then
+                    last := a lsr shift
+              | Forget -> last := -1)
+            stream;
+          (Sim.Pricer.Inclusion.misses lane c).(0) = !misses)
+        caches)
+
+(* [f ()] and the event-stream walks it took. *)
+let walked f =
+  let before = counter "sim.pricer.walks" in
+  let r = f () in
+  (r, counter "sim.pricer.walks" - before)
+
+(* Every app, every measured configuration of both targets: primed as
+   one batch on one recording, each prices without another walk and as
+   it does alone on a recording never primed. *)
+let test_batch_single () =
+  List.iter
+    (fun (app : Apps.Registry.t) ->
+      let prog = Lazy.force app.Apps.Registry.program in
+      let batch = Sim.Pricer.record prog and single = Sim.Pricer.record prog in
+      List.iter
+        (fun (target, configs) ->
+          Sim.Pricer.prime
+            ~runner:{ Sim.Pricer.sequential with jobs = 2 }
+            batch (List.map fst configs);
+          List.iteri
+            (fun k (config, shift_stall) ->
+              let what =
+                Printf.sprintf "%s %s config %d" app.Apps.Registry.name target k
+              in
+              let reps = app.Apps.Registry.reps in
+              let primed, walks =
+                walked (fun () -> Sim.Pricer.price ~reps ~shift_stall batch config)
+              in
+              Alcotest.(check int) (what ^ ": no walk") 0 walks;
+              Alcotest.check result what
+                (Sim.Pricer.price ~reps ~shift_stall single config)
+                primed)
+            configs)
+        targets)
+    (Apps.Registry.all @ Apps.Extra.all)
+
 (* The probes themselves: whole-run evaluation goes through the pricer,
    and agrees with the simulator-backed [run_app]. *)
 let test_probe_wiring () =
@@ -322,12 +417,16 @@ let schedule_targets =
 
 (* Per-phase measurement: every configuration, cut at the app's
    detected boundaries by identity switches. *)
-let test_segmented (app : Apps.Registry.t) () =
+let test_segmented ?(primed = false) (app : Apps.Registry.t) () =
   let prog = Lazy.force app.Apps.Registry.program in
   let trace = Sim.Pricer.record prog in
   List.iter
     (fun t ->
       let boundaries = Sim.Phase.boundaries (t.detect app) in
+      if primed then
+        Sim.Pricer.prime
+          ~runner:{ Sim.Pricer.sequential with jobs = 2 }
+          ~boundaries trace (List.map fst t.configs);
       List.iteri
         (fun k (config, shift_stall) ->
           check_phased ~reps:app.Apps.Registry.reps ~shift_stall
@@ -665,6 +764,13 @@ let () =
             test_icc_at_branch_target;
           Alcotest.test_case "one epoch = both epochs, every app" `Quick
             test_one_epoch;
+        ] );
+      ( "batch",
+        [
+          QCheck_alcotest.to_alcotest inclusion_qtest;
+          Alcotest.test_case "batch = single, every app" `Quick test_batch_single;
+          Alcotest.test_case "segmented batch = simulated, phases" `Quick
+            (test_segmented ~primed:true Apps.Extra.phases);
         ] );
       ( "phased",
         [
