@@ -1217,17 +1217,20 @@ let schedule_dominance =
     }
 
 (* Change-point detection must be a pure function of (options, config,
-   program): repeated detections — including detections executed on
-   pool worker domains of different counts — agree bit-for-bit on the
-   segmentation, and the segmentation is a partition of the retired
-   instruction stream. *)
+   program): the production detection ([Pricer.detect], priced from the
+   program's stored recording) equals one simulated reference detection,
+   repeated detections — including detections executed on pool worker
+   domains of different counts — agree bit-for-bit on the segmentation,
+   and the segmentation is a partition of the retired instruction
+   stream. *)
 let phase_determinism =
   T
     {
       name = "phase-determinism";
       doc =
-        "windowed change-point detection is deterministic across repeated \
-         runs and pool worker counts, and partitions the instruction stream";
+        "priced change-point detection equals simulated detection, is \
+         deterministic across repeated runs and pool worker counts, and \
+         partitions the instruction stream";
       gen = Gen.program;
       print = Gen.print_program;
       prop =
@@ -1242,11 +1245,11 @@ let phase_determinism =
               max_phases = 6;
             }
           in
-          let detect () =
-            Sim.Phase.detect ~options Arch.Config.base prog
-          in
-          let reference = detect () in
+          let detect () = Sim.Pricer.detect ~options Arch.Config.base prog in
+          let reference = Sim.Phase.detect ~options Arch.Config.base prog in
           let want = Sim.Phase.digest reference in
+          if detect () <> reference then
+            T2.fail_reportf "priced detection differs from simulated detection";
           if Sim.Phase.digest (detect ()) <> want then
             T2.fail_reportf "repeated detection disagrees";
           let pool2, pool4 = Lazy.force par_pools in

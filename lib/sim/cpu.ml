@@ -187,17 +187,33 @@ let dcache_store_cost t addr =
 let count_load t = t.prof.Profiler.dcache_reads <- t.prof.Profiler.dcache_reads + 1
 let count_store t = t.prof.Profiler.dcache_writes <- t.prof.Profiler.dcache_writes + 1
 
-let spill_window t w =
-  let sp = window_sp t w in
-  let cost = ref Cost_model.trap_overhead in
+(* The memory side of a spill and a fill: the window's 16 locals and
+   ins to or from the save area at [sp]. *)
+let spill_moves t w sp =
   for k = 0 to 7 do
     let l = Isa.Reg.physical ~nwindows:t.nwin ~cwp:w (Isa.Reg.l k) in
     let i = Isa.Reg.physical ~nwindows:t.nwin ~cwp:w (Isa.Reg.i k) in
-    count_store t;
     Memory.write_u32 t.mem (sp + (4 * k)) t.regs.(l);
+    Memory.write_u32 t.mem (sp + 32 + (4 * k)) t.regs.(i)
+  done
+
+let fill_moves t w sp =
+  for k = 0 to 7 do
+    let l = Isa.Reg.physical ~nwindows:t.nwin ~cwp:w (Isa.Reg.l k) in
+    let i = Isa.Reg.physical ~nwindows:t.nwin ~cwp:w (Isa.Reg.i k) in
+    t.regs.(l) <- Memory.read_u32 t.mem (sp + (4 * k));
+    t.regs.(i) <- Memory.read_u32 t.mem (sp + 32 + (4 * k))
+  done
+
+(* The window's %sp is one of its outs, which neither move touches. *)
+let spill_window t w =
+  let sp = window_sp t w in
+  spill_moves t w sp;
+  let cost = ref Cost_model.trap_overhead in
+  for k = 0 to 7 do
+    count_store t;
     cost := !cost + 1 + dcache_store_cost t (sp + (4 * k));
     count_store t;
-    Memory.write_u32 t.mem (sp + 32 + (4 * k)) t.regs.(i);
     cost := !cost + 1 + dcache_store_cost t (sp + 32 + (4 * k))
   done;
   t.dlast <- -1;
@@ -205,19 +221,26 @@ let spill_window t w =
 
 let fill_window t w =
   let sp = window_sp t w in
+  fill_moves t w sp;
   let cost = ref Cost_model.trap_overhead in
   for k = 0 to 7 do
-    let l = Isa.Reg.physical ~nwindows:t.nwin ~cwp:w (Isa.Reg.l k) in
-    let i = Isa.Reg.physical ~nwindows:t.nwin ~cwp:w (Isa.Reg.i k) in
     count_load t;
-    t.regs.(l) <- Memory.read_u32 t.mem (sp + (4 * k));
     cost := !cost + 1 + dcache_load_cost t (sp + (4 * k));
     count_load t;
-    t.regs.(i) <- Memory.read_u32 t.mem (sp + 32 + (4 * k));
     cost := !cost + 1 + dcache_load_cost t (sp + 32 + (4 * k))
   done;
   t.dlast <- -1;
   !cost
+
+(* The window a [save] that overflows spills, and the one a [restore]
+   that underflows fills. *)
+let[@inline] oldest_window t = (t.cwp + t.resident - 1) mod t.nwin
+let[@inline] caller_window t = (t.cwp + 1) mod t.nwin
+let[@inline] enter_window t =
+  t.cwp <- (if t.cwp = 0 then t.nwin - 1 else t.cwp - 1)
+
+let[@inline] leave_window t =
+  t.cwp <- (let c' = t.cwp + 1 in if c' = t.nwin then 0 else c')
 
 let[@inline] alu_result op a b =
   match op with
@@ -245,6 +268,47 @@ let set_icc_arith t op a b res =
       t.icc_v <- false);
   ()
 
+(* The architectural semantics both handler compiles share. *)
+
+(* Effective address, and the second operand of an ALU instruction. *)
+let[@inline] operand2 t rs2 imm = if rs2 >= 0 then rread t rs2 else imm
+let[@inline] ea t rs1 rs2 imm = (rread t rs1 + operand2 t rs2 imm) land mask32
+
+let[@inline] load_value t width signed addr =
+  let raw =
+    match width with
+    | Isa.Insn.Byte -> Memory.read_u8 t.mem addr
+    | Isa.Insn.Half -> Memory.read_u16 t.mem addr
+    | Isa.Insn.Word -> Memory.read_u32 t.mem addr
+  in
+  let v =
+    if not signed then raw
+    else
+      match width with
+      | Isa.Insn.Byte -> (raw lxor 0x80) - 0x80 land mask32
+      | Isa.Insn.Half -> (raw lxor 0x8000) - 0x8000 land mask32
+      | Isa.Insn.Word -> raw
+  in
+  v land mask32
+
+let[@inline] store_value t width addr v =
+  match width with
+  | Isa.Insn.Byte -> Memory.write_u8 t.mem addr v
+  | Isa.Insn.Half -> Memory.write_u16 t.mem addr v
+  | Isa.Insn.Word -> Memory.write_u32 t.mem addr v
+
+let[@inline] mul_result signed a b =
+  if signed then to_signed a * to_signed b land mask32 else a * b land mask32
+
+let[@inline] set_icc_mul t res =
+  set_nz t res;
+  t.icc_v <- false;
+  t.icc_c <- false
+
+let[@inline] div_result idx signed a b =
+  if b = 0 then error "division by zero at pc %d" idx;
+  if signed then to_signed a / to_signed b land mask32 else a / b land mask32
+
 (* Compile one decoded instruction into its execute handler: the whole
    per-instruction path — front end, operand reads, the operation,
    commit — lives in one flat closure body, so executing an
@@ -266,7 +330,7 @@ let compile t idx (d : Decode.insn) =
         let c = front t base fetch fline in
         t.prev_set_icc <- cc;
         let a = rread t rs1 in
-        let b = if rs2 >= 0 then rread t rs2 else imm in
+        let b = operand2 t rs2 imm in
         let res = alu_result op a b in
         if cc then set_icc_arith t op a b res;
         rwrite t rd res;
@@ -281,17 +345,8 @@ let compile t idx (d : Decode.insn) =
       fun () ->
         let c = front t base fetch fline in
         t.prev_set_icc <- cc;
-        let a = rread t rs1 in
-        let b = if rs2 >= 0 then rread t rs2 else imm in
-        let res =
-          if signed then to_signed a * to_signed b land mask32
-          else a * b land mask32
-        in
-        if cc then begin
-          set_nz t res;
-          t.icc_v <- false;
-          t.icc_c <- false
-        end;
+        let res = mul_result signed (rread t rs1) (operand2 t rs2 imm) in
+        if cc then set_icc_mul t res;
         rwrite t rd res;
         prof.Profiler.mults <- prof.Profiler.mults + 1;
         commit t fall c
@@ -299,13 +354,7 @@ let compile t idx (d : Decode.insn) =
       fun () ->
         let c = front t base fetch fline in
         t.prev_set_icc <- false;
-        let a = rread t rs1 in
-        let b = if rs2 >= 0 then rread t rs2 else imm in
-        if b = 0 then error "division by zero at pc %d" idx;
-        let res =
-          if signed then to_signed a / to_signed b land mask32
-          else a / b land mask32
-        in
+        let res = div_result idx signed (rread t rs1) (operand2 t rs2 imm) in
         rwrite t rd res;
         prof.Profiler.divs <- prof.Profiler.divs + 1;
         commit t fall c
@@ -314,25 +363,9 @@ let compile t idx (d : Decode.insn) =
       fun () ->
         let c = front t base fetch fline in
         t.prev_set_icc <- false;
-        let addr =
-          (rread t rs1 + if rs2 >= 0 then rread t rs2 else imm) land mask32
-        in
+        let addr = ea t rs1 rs2 imm in
         count_load t;
-        let raw =
-          match width with
-          | Isa.Insn.Byte -> Memory.read_u8 t.mem addr
-          | Isa.Insn.Half -> Memory.read_u16 t.mem addr
-          | Isa.Insn.Word -> Memory.read_u32 t.mem addr
-        in
-        let v =
-          if not signed then raw
-          else
-            match width with
-            | Isa.Insn.Byte -> (raw lxor 0x80) - 0x80 land mask32
-            | Isa.Insn.Half -> (raw lxor 0x8000) - 0x8000 land mask32
-            | Isa.Insn.Word -> raw
-        in
-        rwrite t rd (v land mask32);
+        rwrite t rd (load_value t width signed addr);
         let c = c + dload_extra t addr in
         (* load-delay interlock against an immediately dependent user;
            the dependence is static, priced at decode time *)
@@ -348,15 +381,9 @@ let compile t idx (d : Decode.insn) =
       fun () ->
         let c = front t base fetch fline in
         t.prev_set_icc <- false;
-        let addr =
-          (rread t rs1 + if rs2 >= 0 then rread t rs2 else imm) land mask32
-        in
-        let v = rread t rd in
+        let addr = ea t rs1 rs2 imm in
         count_store t;
-        (match width with
-        | Isa.Insn.Byte -> Memory.write_u8 t.mem addr v
-        | Isa.Insn.Half -> Memory.write_u16 t.mem addr v
-        | Isa.Insn.Word -> Memory.write_u32 t.mem addr v);
+        store_value t width addr (rread t rd);
         dstore_probe t addr;
         commit t fall c
   | Decode.Branch Isa.Insn.Always ->
@@ -394,52 +421,44 @@ let compile t idx (d : Decode.insn) =
       fun () ->
         let c = front t base fetch fline in
         t.prev_set_icc <- false;
-        let target =
-          (rread t rs1 + if rs2 >= 0 then rread t rs2 else imm) land mask32
-        in
+        let target = ea t rs1 rs2 imm in
         rwrite t rd idx;
         commit t target c
   | Decode.Save ->
       fun () ->
         let c = front t base fetch fline in
         t.prev_set_icc <- false;
-        let res =
-          (rread t rs1 + if rs2 >= 0 then rread t rs2 else imm) land mask32
-        in
+        let res = ea t rs1 rs2 imm in
         let c =
           if t.resident = t.nwin - 1 then begin
-            let oldest = (t.cwp + t.resident - 1) mod t.nwin in
             prof.Profiler.window_overflows <- prof.Profiler.window_overflows + 1;
-            c + spill_window t oldest
+            c + spill_window t (oldest_window t)
           end
           else begin
             t.resident <- t.resident + 1;
             c
           end
         in
-        t.cwp <- (if t.cwp = 0 then t.nwin - 1 else t.cwp - 1);
+        enter_window t;
         rwrite t rd res;
         commit t fall c
   | Decode.Restore ->
       fun () ->
         let c = front t base fetch fline in
         t.prev_set_icc <- false;
-        let res =
-          (rread t rs1 + if rs2 >= 0 then rread t rs2 else imm) land mask32
-        in
+        let res = ea t rs1 rs2 imm in
         let c =
           if t.resident = 1 then begin
-            let caller = (t.cwp + 1) mod t.nwin in
             prof.Profiler.window_underflows <-
               prof.Profiler.window_underflows + 1;
-            c + fill_window t caller
+            c + fill_window t (caller_window t)
           end
           else begin
             t.resident <- t.resident - 1;
             c
           end
         in
-        t.cwp <- (let c' = t.cwp + 1 in if c' = t.nwin then 0 else c');
+        leave_window t;
         rwrite t rd res;
         commit t fall c
   | Decode.Nop ->
@@ -454,59 +473,147 @@ let compile t idx (d : Decode.insn) =
         t.halted <- true;
         commit t fall c
 
-(* Recording handler: the ordinary handler of the instruction, wrapped
-   with the configuration-invariant facts {!Pricer} needs.  Effective
-   addresses are read before the wrapped handler runs (it may overwrite
-   its base register); control decisions, window events and [%sp]/[%fp]
-   values after.  A separate compile, so the ordinary handlers carry no
+(* Recording handler: the instruction's architectural semantics plus
+   the configuration-invariant facts {!Pricer} needs, and nothing of
+   the timing — no cache probe, no cycle, no stall.  It counts retired
+   instructions and taken branches, which is all [Pricer.record] checks
+   the tape against, and leaves the caches, their statistics and every
+   other profile counter alone.  Effective addresses go on the tape
+   before the destination register is written (it may be the base
+   register); control decisions, window events and [%sp]/[%fp] values
+   after.  A separate compile, so the timing handlers carry no
    recording hook. *)
-let recording t rc idx (d : Decode.insn) =
-  let h = compile t idx d in
+let functional t rc idx (d : Decode.insn) =
+  let fall = idx + 1 in
   let rd = d.Decode.rd in
   let rs1 = d.Decode.rs1 in
   let rs2 = d.Decode.rs2 in
   let imm = d.Decode.imm in
-  let ea () = (rread t rs1 + if rs2 >= 0 then rread t rs2 else imm) land mask32 in
-  let sp_write () =
+  let tgt = d.Decode.target in
+  let prof = t.prof in
+  let retire () = prof.Profiler.instructions <- prof.Profiler.instructions + 1 in
+  let taken () = prof.Profiler.taken_branches <- prof.Profiler.taken_branches + 1 in
+  (* a write of the current frame's [%sp] or [%fp], which the tape
+     tracks for the spill and fill addresses *)
+  let frame = rd = Isa.Reg.sp || rd = Isa.Reg.fp in
+  let frame_write () =
     if rd = Isa.Reg.sp then Tape.set_sp rc (rread t rd)
-    else if rd = Isa.Reg.fp then Tape.set_fp rc (rread t rd)
+    else Tape.set_fp rc (rread t rd)
   in
   match d.Decode.op with
-  | Decode.Load _ ->
+  | Decode.Alu (op, cc) ->
       fun () ->
-        Tape.load rc (ea ());
-        h ();
-        sp_write ()
-  | Decode.Store _ ->
+        retire ();
+        let a = rread t rs1 in
+        let b = operand2 t rs2 imm in
+        let res = alu_result op a b in
+        if cc then set_icc_arith t op a b res;
+        rwrite t rd res;
+        if frame then frame_write ();
+        t.pc <- fall
+  | Decode.Sethi ->
       fun () ->
-        Tape.store rc (ea ());
-        h ()
-  | Decode.Branch cond when cond <> Isa.Insn.Always ->
+        retire ();
+        rwrite t rd imm;
+        if frame then frame_write ();
+        t.pc <- fall
+  | Decode.Mul (signed, cc) ->
       fun () ->
-        h ();
-        Tape.branch rc (t.pc <> idx + 1)
+        retire ();
+        let res = mul_result signed (rread t rs1) (operand2 t rs2 imm) in
+        if cc then set_icc_mul t res;
+        rwrite t rd res;
+        if frame then frame_write ();
+        t.pc <- fall
+  | Decode.Div signed ->
+      fun () ->
+        retire ();
+        rwrite t rd (div_result idx signed (rread t rs1) (operand2 t rs2 imm));
+        if frame then frame_write ();
+        t.pc <- fall
+  | Decode.Load (width, signed) ->
+      fun () ->
+        retire ();
+        let addr = ea t rs1 rs2 imm in
+        Tape.load rc addr;
+        rwrite t rd (load_value t width signed addr);
+        if frame then frame_write ();
+        t.pc <- fall
+  | Decode.Store width ->
+      fun () ->
+        retire ();
+        let addr = ea t rs1 rs2 imm in
+        Tape.store rc addr;
+        store_value t width addr (rread t rd);
+        t.pc <- fall
+  | Decode.Branch Isa.Insn.Always ->
+      fun () ->
+        retire ();
+        taken ();
+        t.pc <- tgt
+  | Decode.Branch cond ->
+      fun () ->
+        retire ();
+        if branch_taken t cond then begin
+          taken ();
+          Tape.branch rc true;
+          t.pc <- tgt
+        end
+        else begin
+          Tape.branch rc false;
+          t.pc <- fall
+        end
+  | Decode.Call ->
+      fun () ->
+        retire ();
+        rwrite t rd idx;
+        t.pc <- tgt
   | Decode.Jmpl ->
       fun () ->
-        h ();
-        Tape.jump rc t.pc;
-        sp_write ()
+        retire ();
+        let target = ea t rs1 rs2 imm in
+        rwrite t rd idx;
+        Tape.jump rc target;
+        if frame then frame_write ();
+        t.pc <- target
   | Decode.Save ->
       fun () ->
-        h ();
+        retire ();
+        let res = ea t rs1 rs2 imm in
+        if t.resident = t.nwin - 1 then begin
+          let w = oldest_window t in
+          spill_moves t w (window_sp t w)
+        end
+        else t.resident <- t.resident + 1;
+        enter_window t;
+        rwrite t rd res;
         Tape.save rc ~sp:(rread t Isa.Reg.sp);
-        if rd = Isa.Reg.fp then Tape.set_fp rc (rread t rd)
+        if rd = Isa.Reg.fp then Tape.set_fp rc (rread t rd);
+        t.pc <- fall
   | Decode.Restore ->
       fun () ->
-        h ();
+        retire ();
+        let res = ea t rs1 rs2 imm in
+        if t.resident = 1 then begin
+          let w = caller_window t in
+          fill_moves t w (window_sp t w)
+        end
+        else t.resident <- t.resident - 1;
+        leave_window t;
+        rwrite t rd res;
         let below = Tape.restore rc in
         if rd = Isa.Reg.sp then Tape.set_sp rc (rread t rd);
-        if below || rd = Isa.Reg.fp then Tape.set_fp rc (rread t Isa.Reg.fp)
-  | (Decode.Alu _ | Decode.Sethi | Decode.Mul _ | Decode.Div _)
-    when rd = Isa.Reg.sp || rd = Isa.Reg.fp ->
+        if below || rd = Isa.Reg.fp then Tape.set_fp rc (rread t Isa.Reg.fp);
+        t.pc <- fall
+  | Decode.Nop ->
       fun () ->
-        h ();
-        sp_write ()
-  | _ -> h
+        retire ();
+        t.pc <- fall
+  | Decode.Halt ->
+      fun () ->
+        retire ();
+        t.halted <- true;
+        t.pc <- fall
 
 let log2 n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
@@ -617,7 +724,7 @@ let reconfigure ?(shift_stall = 0) ?(keep_caches = false) t config =
   t.decoded <- Decode.of_program t.cm t.prog;
   t.handlers <- Array.mapi (compile t) t.decoded
 
-let record_into t rc = t.handlers <- Array.mapi (recording t rc) t.decoded
+let record_into t rc = t.handlers <- Array.mapi (functional t rc) t.decoded
 
 let step t =
   if t.halted then false

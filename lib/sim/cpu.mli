@@ -82,11 +82,15 @@ val result : t -> int
     checksum at [Halt]. *)
 
 val record_into : t -> Tape.recorder -> unit
-(** Recompile every handler to also append the instruction's
-    configuration-invariant effects to the recorder (see {!Tape}): a
-    separate compile, so ordinary handlers pay nothing for it.
-    Execution, timing and the profile are unchanged.  {!reconfigure}
-    returns to the ordinary handlers. *)
+(** Recompile every handler to execute the instruction's architectural
+    semantics and append its configuration-invariant effects to the
+    recorder (see {!Tape}), and nothing else: a separate compile, so the
+    timing handlers pay nothing for it.  Execution (registers, memory,
+    control flow, the checksum) is what the timing handlers produce, but
+    nothing is timed: no cache is probed, so the caches and their
+    statistics stay as they were, and of the profile only
+    [instructions] and [taken_branches] advance — no cycle or other
+    event is counted.  {!reconfigure} returns to the timing handlers. *)
 
 val read_reg : t -> Isa.Reg.t -> int
 val write_reg : t -> Isa.Reg.t -> int -> unit

@@ -341,30 +341,46 @@ let chain_end (plan : plan) g =
    has ways, no fill needs a victim, so every line misses exactly once,
    on its first fetch, under any replacement policy (and Random never
    draws).  The fetched lines follow from the instruction counts alone.
-   Misses per segment when that holds for every cache of the plan. *)
+   [first_fetch c] counts, for a cold cache [c], the misses of each
+   segment fed to it in order; [fits ()] says whether that has held so
+   far. *)
+let first_fetch text (c : Arch.Config.cache) =
+  let n = Array.length text.prog.Isa.Program.code in
+  let geo = Cache.geometry c in
+  let line_shift = geo.Cache.line_shift and sets = geo.Cache.sets in
+  let fetched = Array.make (((4 * n) lsr line_shift) + 1) false in
+  let per_set = Array.make sets 0 in
+  let fits = ref true in
+  let count (s : seg) =
+    let misses = ref 0 in
+    Array.iteri
+      (fun i c ->
+        let l = (4 * i) lsr line_shift in
+        if c > 0 && not fetched.(l) then begin
+          fetched.(l) <- true;
+          incr misses;
+          let set = l land (sets - 1) in
+          per_set.(set) <- per_set.(set) + 1;
+          if per_set.(set) > geo.Cache.ways then fits := false
+        end)
+      s.counts;
+    !misses
+  in
+  (count, fun () -> !fits)
+
+(* Misses per segment when first fetches hold for every cache of the
+   plan. *)
 let first_fetches text (plan : plan) (segs : seg array) =
   let misses = Array.make (Array.length plan) 0 in
-  let n = Array.length text.prog.Isa.Program.code in
   let rec chain g =
     g >= Array.length plan
     ||
-    let geo = Cache.geometry (Option.get plan.(g)) in
-    let line_shift = geo.Cache.line_shift and sets = geo.Cache.sets in
-    let fetched = Array.make (((4 * n) lsr line_shift) + 1) false in
-    let per_set = Array.make sets 0 in
+    let count, fits = first_fetch text (Option.get plan.(g)) in
     let stop = chain_end plan g in
     for k = g to stop - 1 do
-      Array.iteri
-        (fun i c ->
-          let l = (4 * i) lsr line_shift in
-          if c > 0 && not fetched.(l) then begin
-            fetched.(l) <- true;
-            misses.(k) <- misses.(k) + 1;
-            per_set.(l land (sets - 1)) <- per_set.(l land (sets - 1)) + 1
-          end)
-        segs.(k).counts
+      misses.(k) <- count segs.(k)
     done;
-    Array.for_all (fun c -> c <= geo.Cache.ways) per_set && chain stop
+    fits () && chain stop
   in
   if chain 0 then Some misses else None
 
@@ -936,8 +952,9 @@ let price ?reps ?shift_stall tr config =
   (price_phased ?reps ?shift_stall ~switches:[] tr config).Machine.result
 
 (* Per-window profiles of the cold epoch: the detection boundaries cut
-   one walk of each kind, and none of it is memoized — a detection
-   prices its windows once. *)
+   one dcache walk, and the icache walk too unless first fetches hold
+   (they do whenever the cache holds all the code the epoch runs).
+   None of it is memoized — a detection prices its windows once. *)
 let windows ?(shift_stall = 0) tr (config : Arch.Config.t) ~window =
   validate "Pricer.windows" config;
   if window < 1 then invalid_arg "Pricer.windows: window must be >= 1";
@@ -947,12 +964,17 @@ let windows ?(shift_stall = 0) tr (config : Arch.Config.t) ~window =
   let bounds = Array.init (nw - 1) (fun k -> (k + 1) * window) in
   let profiles = Array.make nw (Profiler.create ()) in
   let events = Array.make nw 0 in
+  let first_fetched = Array.make nw 0 in
+  let count, fits = first_fetch tr.text config.Arch.Config.icache in
   segments tr.text tr.cold.tape bounds (fun s seg ->
       profiles.(s) <- static_profile cm dec seg;
-      events.(s) <- seg.events);
+      events.(s) <- seg.events;
+      first_fetched.(s) <- count seg);
   let plan c = Array.init nw (fun g -> if g = 0 then Some c else None) in
   let imiss =
-    walk_icache tr.text [ tr.cold.tape ] ~bounds (plan config.Arch.Config.icache)
+    if fits () then first_fetched
+    else
+      walk_icache tr.text [ tr.cold.tape ] ~bounds (plan config.Arch.Config.icache)
   in
   let dcounts =
     (walk_dcache ~mem_size:tr.mem_size
@@ -970,12 +992,15 @@ type runner = { jobs : int; run : (unit -> unit) list -> unit }
 
 let sequential = { jobs = 1; run = List.iter (fun task -> task ()) }
 
-(* What a walk's parts cost, relative to one {!Cache.t} lane: decoding
-   the events and running the window model, and an inclusion lane of
-   [n] caches (measured on blastn, dct and phases; see EXPERIMENTS.md). *)
-let walk_cost = 2.0
-let assoc_cost = 1.0
-let direct_cost n = 0.4 +. (0.05 *. float_of_int (n - 1))
+(* What a walk's parts cost, relative to a 2-way {!Cache.t} lane:
+   decoding the events and running the window model, an inclusion lane
+   of [n] caches, and a {!Cache.t} lane by its ways — its policy makes
+   no measurable difference (measured on dct, phases and drr; see
+   EXPERIMENTS.md). *)
+let walk_cost = 1.2
+let direct_cost n = 0.25 +. (0.05 *. float_of_int (n - 1))
+let assoc_cost (c : Arch.Config.cache) =
+  1.0 +. (0.15 *. float_of_int (c.Arch.Config.ways - 2))
 
 (* One walk: the window count it runs, and its parts, each an
    inclusion lane or a {!Cache.t} lane with its cost and the replays
@@ -1032,7 +1057,7 @@ let parts keys =
       let lane = List.filter (fun key -> words key = w) direct in
       (direct_cost (List.length lane), lane))
     (List.sort_uniq compare (List.map words direct))
-  @ List.map (fun key -> (assoc_cost, [ key ])) assoc
+  @ List.map (fun key -> (assoc_cost (cache key), [ key ])) assoc
 
 let prime ?(runner = sequential) ?(boundaries = []) tr configs =
   let bounds = Array.of_list boundaries in

@@ -7,9 +7,9 @@
     through the cache geometry and policy, and window traps, which
     follow the save/restore sequence through the register-window count.
 
-    {!record} executes a program once and keeps what is
-    configuration-invariant in a {!Tape}, for the cold and the warm
-    epoch alike.
+    {!record} executes a program once, untimed ({!Cpu.record_into}),
+    and keeps what is configuration-invariant in a {!Tape}, for the cold
+    and the warm epoch alike.
     {!price_phased} rebuilds the {!Machine.run_phased} result for any
     schedule of configurations from the tape: the epochs are cut into
     segments at the switch boundaries, each segment's static cycles come
@@ -93,8 +93,12 @@ val price : ?reps:int -> ?shift_stall:int -> trace -> Arch.Config.t -> Machine.r
 val windows :
   ?shift_stall:int -> trace -> Arch.Config.t -> window:int -> Profiler.t array
 (** The cold epoch's profile on [config], window by window: what
-    {!Phase.detect} observes between its [Cpu.run_until] stops.  Nothing
-    is memoized.
+    {!Phase.detect} observes between its [Cpu.run_until] stops.  One
+    dcache walk cut at the window boundaries; icache misses come from
+    first fetches when no icache set receives more distinct lines than
+    it has ways (true whenever the icache holds all the code the epoch
+    runs, as the base one does for every app), and from a walk of the
+    fetch stream otherwise.  Nothing is memoized.
     @raise Invalid_argument if [config] is invalid or [window < 1]. *)
 
 type runner = {

@@ -157,31 +157,51 @@ let reader chunks =
     bit_ix = 8;
   }
 
-(* Steps over exhausted chunks, so a [false] leaves [rpos] readable. *)
-let rec at_end r =
-  r.rpos >= Bytes.length r.chunk
-  && (r.ci + 1 >= Array.length r.chunks
-     || begin
-          r.ci <- r.ci + 1;
-          r.chunk <- r.chunks.(r.ci);
-          r.rpos <- 0;
-          at_end r
-        end)
+(* Every read has an in-chunk fast path that allocates nothing and
+   checks the chunk's bound once, and falls back to the chunk-crossing
+   path only near a chunk's end.  [next_chunk] steps over exhausted
+   chunks, so a [false] [at_end] leaves [rpos] readable. *)
+let rec next_chunk r =
+  r.ci + 1 >= Array.length r.chunks
+  || begin
+       r.ci <- r.ci + 1;
+       r.chunk <- r.chunks.(r.ci);
+       r.rpos <- 0;
+       r.rpos >= Bytes.length r.chunk && next_chunk r
+     end
+
+let[@inline] at_end r = r.rpos >= Bytes.length r.chunk && next_chunk r
 
 let next_byte r =
-  if r.rpos >= Bytes.length r.chunk && at_end r then
-    invalid_arg "Tape.reader: read past the end of the stream";
+  if at_end r then invalid_arg "Tape.reader: read past the end of the stream";
   let b = Char.code (Bytes.unsafe_get r.chunk r.rpos) in
   r.rpos <- r.rpos + 1;
   b
 
+let rec varint_slow r acc shift =
+  let b = next_byte r in
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if b land 0x80 = 0 then acc else varint_slow r acc (shift + 7)
+
+(* A varint of an OCaml int spans at most 9 bytes; the fast path reads
+   only when all 9 lie in the chunk. *)
+let max_varint = 9
+
+let rec varint_fast r chunk pos acc shift =
+  let b = Char.code (Bytes.unsafe_get chunk pos) in
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if b land 0x80 = 0 then begin
+    r.rpos <- pos + 1;
+    acc
+  end
+  else if shift = 7 * (max_varint - 1) then
+    invalid_arg "Tape.reader: varint longer than an int"
+  else varint_fast r chunk (pos + 1) acc (shift + 7)
+
 let varint r =
-  let rec more acc shift =
-    let b = next_byte r in
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else more acc (shift + 7)
-  in
-  more 0 0
+  let chunk = r.chunk and pos = r.rpos in
+  if pos + max_varint <= Bytes.length chunk then varint_fast r chunk pos 0 0
+  else varint_slow r 0 0
 
 let bit r =
   if r.bit_ix = 8 then begin

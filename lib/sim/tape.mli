@@ -1,16 +1,18 @@
 (** The configuration-invariant record of one execution epoch.
 
-    {!Cpu.record_into} switches a machine to recording handlers that
-    append what no microarchitecture parameter can change: where control
-    went and the data-side events in program order.  {!Pricer} replays
-    a finished tape through the caches of any configuration.
+    {!Cpu.record_into} switches a machine to untimed recording handlers
+    that execute the program and append what no microarchitecture
+    parameter can change: where control went and the data-side events
+    in program order.  {!Pricer} replays a finished tape through the
+    caches of any configuration.
 
     The instruction stream is kept as its control decisions only — one
     bit per executed conditional branch and the target of each [jmpl] —
     since the program text determines everything in between.  Data
     events are variable-length: a load or store costs one byte when its
     address is near the previous access.  Streams are appended to
-    fixed-size chunks, so growth never copies what is already recorded. *)
+    64 KiB chunks, so growth never copies what is already recorded; a
+    varint may straddle two chunks. *)
 
 (** {2 Finished tapes} *)
 
@@ -88,10 +90,16 @@ val bytes : t -> int
 (** {2 Reading} *)
 
 type reader
-(** A cursor over one chunked stream. *)
+(** A cursor over one chunked stream.  Every read takes an in-chunk
+    fast path that allocates nothing and checks the chunk's bound once
+    per read rather than per byte; only a read near a chunk's end falls
+    back to the byte-by-byte path that crosses into the next chunk.
+    Every pricing walk decodes its tape through these. *)
 
 val reader : Bytes.t array -> reader
+
 val at_end : reader -> bool
+(** Whether the stream is used up.  Steps over exhausted chunks. *)
 
 val varint : reader -> int
 (** The next varint.  Reading past the end raises [Invalid_argument]. *)

@@ -573,6 +573,41 @@ let test_detect () =
         schedule_targets)
     [ Apps.Extra.phases; Apps.Registry.blastn; Apps.Registry.drr; Apps.Extra.qsort ]
 
+(* Detection counts icache misses from first fetches when the cache
+   holds all the code the epoch runs, and walks the fetch stream
+   otherwise: both agree with simulated detection.  The replay counter
+   says which ran — one dcache replay per detection, plus one icache
+   walk when first fetches do not hold.  frag's code (1292 bytes) does
+   not fit a 1 KB direct-mapped icache. *)
+let test_detect_icache () =
+  let small =
+    {
+      Arch.Config.base with
+      Arch.Config.icache =
+        {
+          Arch.Config.ways = 1;
+          way_kb = 1;
+          line_words = 4;
+          replacement = Arch.Config.Random;
+        };
+    }
+  in
+  List.iter
+    (fun (what, config, replays) ->
+      let prog = Lazy.force Apps.Registry.frag.Apps.Registry.program in
+      let simulated = Sim.Phase.detect config prog in
+      let before = counter "sim.pricer.replays" in
+      let priced = Sim.Pricer.detect config prog in
+      let counted = counter "sim.pricer.replays" - before in
+      Alcotest.(check string) (what ^ ": digest")
+        (Sim.Phase.digest simulated) (Sim.Phase.digest priced);
+      Alcotest.(check bool) (what ^ ": phases") true (simulated = priced);
+      Alcotest.(check int) (what ^ ": replays") replays counted)
+    [
+      ("base, first fetches", Arch.Config.base, 1);
+      ("1 KB 1-way icache, walked", small, 2);
+    ]
+
 (* --- condition-code holds --------------------------------------- *)
 
 (* A conditional branch right after a cc-setting instruction, entered
@@ -599,6 +634,20 @@ let test_icc_at_branch_target () =
     ~switches:
       (Sim.Machine.identity_switches ~boundaries:[ 3; 4 ] Arch.Config.base)
     trace prog Arch.Config.base
+
+(* A conditional branch to the very next instruction, taken 29 times:
+   the tape records the branch decision, not whether the pc moved. *)
+let test_branch_to_next () =
+  let a = Isa.Asm.create () in
+  Isa.Asm.set32 a 30 (o 1);
+  Isa.Asm.label a "top";
+  Isa.Asm.emit a (alu ~cc:true Isa.Insn.Sub (o 1) (o 1) (Isa.Insn.Imm 1));
+  Isa.Asm.bcc a Isa.Insn.Ne "next";
+  Isa.Asm.label a "next";
+  Isa.Asm.bcc a Isa.Insn.Ne "top";
+  Isa.Asm.emit a Isa.Insn.Halt;
+  let prog = Isa.Asm.finish a ~entry:0 in
+  check_config ~what:"whole run" (Sim.Pricer.record prog) prog Arch.Config.base
 
 (* --- tape encoding ------------------------------------------------- *)
 
@@ -664,6 +713,92 @@ let test_tape_roundtrip () =
         true
         (chunk == tape.Sim.Tape.events.(k)))
     again.Sim.Tape.events
+
+(* The recorder executes and records, and nothing else: after a
+   recorded run the caches were never probed and no cycle was charged,
+   while the retired instructions, taken branches and checksum are the
+   simulated cold epoch's — what [Pricer.record] checks its tape
+   against. *)
+let test_recorder (app : Apps.Registry.t) () =
+  let prog = Lazy.force app.Apps.Registry.program in
+  let mem_size = Sim.Machine.default_mem_size in
+  let cpu = Sim.Cpu.create Arch.Config.base prog ~mem_size in
+  Sim.Cpu.record_into cpu (Sim.Tape.recorder ());
+  Sim.Cpu.run cpu;
+  let p = Sim.Cpu.profile cpu in
+  let untouched =
+    { Sim.Cache.reads = 0; read_misses = 0; writes = 0; write_misses = 0 }
+  in
+  let stats = Alcotest.testable (fun ppf _ -> Fmt.string ppf "<stats>") ( = ) in
+  Alcotest.check stats "icache stats" untouched (Sim.Cache.stats (Sim.Cpu.icache cpu));
+  Alcotest.check stats "dcache stats" untouched (Sim.Cache.stats (Sim.Cpu.dcache cpu));
+  Alcotest.(check int) "cycles" 0 p.Sim.Profiler.cycles;
+  let cold = Sim.Machine.run ~reps:1 Arch.Config.base prog in
+  let q = cold.Sim.Machine.profile in
+  Alcotest.(check int) "instructions" q.Sim.Profiler.instructions
+    p.Sim.Profiler.instructions;
+  Alcotest.(check int) "taken branches" q.Sim.Profiler.taken_branches
+    p.Sim.Profiler.taken_branches;
+  Alcotest.(check int) "checksum" cold.Sim.Machine.checksum (Sim.Cpu.result cpu)
+
+let recorder_cases =
+  List.map
+    (fun (app : Apps.Registry.t) ->
+      Alcotest.test_case app.Apps.Registry.name `Quick (test_recorder app))
+    (Apps.Registry.all @ Apps.Extra.all)
+
+(* Reads at chunk edges go through the in-chunk fast path and its
+   chunk-crossing fallback alike.  Chunks hold 64 KiB: one-byte events
+   pad the stream so that a varint of every length from 1 to 5 bytes
+   starts exactly at a chunk's start, straddles its end at every split,
+   or ends exactly at it; the taken bits fill more than a chunk. *)
+let chunk = 1 lsl 16
+
+(* [Tape.set_sp v] puts the varint [(v lsl 3) lor ev_set_sp] on the
+   event stream: for these values it spans 1 to 5 bytes. *)
+let wide = [ (1, 0); (2, 1 lsl 4); (3, 1 lsl 11); (4, 1 lsl 18); (5, 1 lsl 29) ]
+
+let test_tape_edges () =
+  List.iter
+    (fun (len, v) ->
+      for before = 0 to len do
+        let what =
+          Printf.sprintf "%d-byte varint, %d byte(s) before the edge" len before
+        in
+        let rc = Sim.Tape.recorder () in
+        for _ = 1 to chunk - before do
+          Sim.Tape.set_sp rc 0
+        done;
+        Sim.Tape.set_sp rc v;
+        Sim.Tape.set_fp rc 0xFFFFFFFF;
+        let tape = Sim.Tape.finish rc in
+        Alcotest.(check int) (what ^ ": first chunk full") chunk
+          (Bytes.length tape.Sim.Tape.events.(0));
+        let r = Sim.Tape.reader tape.Sim.Tape.events in
+        for k = 1 to chunk - before do
+          if Sim.Tape.varint r <> Sim.Tape.ev_set_sp then
+            Alcotest.failf "%s: padding %d" what k
+        done;
+        Alcotest.(check bool) (what ^ ": more to read") false (Sim.Tape.at_end r);
+        Alcotest.(check int) what ((v lsl 3) lor Sim.Tape.ev_set_sp) (Sim.Tape.varint r);
+        Alcotest.(check int) (what ^ ": next")
+          ((0xFFFFFFFF lsl 3) lor Sim.Tape.ev_set_fp)
+          (Sim.Tape.varint r);
+        Alcotest.(check bool) (what ^ ": consumed") true (Sim.Tape.at_end r)
+      done)
+    wide;
+  let outcome k = k mod 3 = 0 || k mod 7 = 1 in
+  let n = (8 * chunk) + 21 in
+  let rc = Sim.Tape.recorder () in
+  for k = 0 to n - 1 do
+    Sim.Tape.branch rc (outcome k)
+  done;
+  let tape = Sim.Tape.finish rc in
+  Alcotest.(check int) "taken chunks" 2 (Array.length tape.Sim.Tape.taken);
+  let r = Sim.Tape.reader tape.Sim.Tape.taken in
+  for k = 0 to n - 1 do
+    if Sim.Tape.bit r <> outcome k then Alcotest.failf "taken bit %d" k
+  done
 
 (* --- failures ------------------------------------------------------ *)
 
@@ -762,6 +897,8 @@ let () =
           Alcotest.test_case "icache walk" `Quick test_icache_walk;
           Alcotest.test_case "icc hold at a branch target" `Quick
             test_icc_at_branch_target;
+          Alcotest.test_case "taken branch to the next instruction" `Quick
+            test_branch_to_next;
           Alcotest.test_case "one epoch = both epochs, every app" `Quick
             test_one_epoch;
         ] );
@@ -784,8 +921,14 @@ let () =
             test_phased_switches;
           Alcotest.test_case "window count is fixed" `Quick test_window_count_fixed;
           Alcotest.test_case "detection = simulated detection" `Quick test_detect;
+          Alcotest.test_case "detection, both icache paths" `Quick test_detect_icache;
         ] );
-      ("tape", [ Alcotest.test_case "round trip and sharing" `Quick test_tape_roundtrip ]);
+      ( "tape",
+        [
+          Alcotest.test_case "round trip and sharing" `Quick test_tape_roundtrip;
+          Alcotest.test_case "reads at chunk edges" `Quick test_tape_edges;
+        ] );
+      ("recorder", recorder_cases);
       ( "failures",
         [
           Alcotest.test_case "non-deterministic epochs" `Quick test_nondeterministic;
