@@ -197,7 +197,6 @@ let measurements ~wall_ns ~(before : Obs.Metrics.snapshot)
     ("solver_incumbents", float_of_int (delta "binlp.incumbents"));
     ("builds", float_of_int (delta "dse.builds"));
     ("bounds_computed", float_of_int (delta "dse.bounds.computed"));
-    ("bounds_pruned", float_of_int (delta "dse.bounds.pruned"));
     ("engine_hits", float_of_int (delta "dse.engine.hits"));
     ("engine_misses", float_of_int (delta "dse.engine.misses"));
     ("engine_inflight_dedup", float_of_int (delta "dse.engine.inflight_dedup"));

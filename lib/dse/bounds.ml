@@ -23,10 +23,6 @@ let m_computed =
   Obs.Metrics.Counter.v "dse.bounds.computed"
     ~help:"static cycle-bound computations"
 
-let m_pruned =
-  Obs.Metrics.Counter.v "dse.bounds.pruned"
-    ~help:"simulations skipped because a static lower bound exceeded the cutoff"
-
 let m_violations =
   Obs.Metrics.Counter.v "dse.bounds.violations"
     ~help:"simulated runtimes observed outside their static bounds"

@@ -72,14 +72,12 @@ val tightness : lo:float -> hi:float -> float option
 
 (** {2 Metrics}
 
-    Registered process-wide; incremented by the engine's
-    bounds-admission path and the optimizer's sanitizer. *)
+    Registered process-wide; incremented by the optimizer's
+    verify-by-build sanitizer, which cross-checks every verification
+    build against its static bounds. *)
 
 val m_computed : Obs.Metrics.Counter.t
 (** [dse.bounds.computed] *)
-
-val m_pruned : Obs.Metrics.Counter.t
-(** [dse.bounds.pruned] *)
 
 val m_violations : Obs.Metrics.Counter.t
 (** [dse.bounds.violations] — simulated cycles observed outside the

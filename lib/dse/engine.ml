@@ -253,13 +253,11 @@ let obtain t ~feasible_only ?segmented ?noise probe app config =
    {!Pool.run_inline} so sequential searches — coordinate descent,
    the paper method, random search — show up in [dse.pool.tasks] too
    instead of leaving it at 0. *)
-let eval_on_uncounted ?noise t probe app config =
-  match obtain t ~feasible_only:false ?noise probe app config with
-  | Full v -> v.cost
-  | Unfit _ | Pending -> assert false
-
 let eval_on ?noise t probe app config =
-  Pool.run_inline (fun () -> eval_on_uncounted ?noise t probe app config)
+  Pool.run_inline (fun () ->
+      match obtain t ~feasible_only:false ?noise probe app config with
+      | Full v -> v.cost
+      | Unfit _ | Pending -> assert false)
 
 let eval_profiled_on ?noise t probe app config =
   Pool.run_inline (fun () ->
@@ -279,15 +277,12 @@ let eval_segments_on ?noise t probe ~phase ~segmented app config =
   Pool.run_inline (fun () ->
       eval_segments_on_uncounted ?noise t probe ~phase ~segmented app config)
 
-let journal_infeasible probe app config reason =
-  if Obs.Journal.enabled () then
-    Obs.Journal.record ~kind:"engine.infeasible"
-      (journal_fields probe app config
-      @ [ ("reason", Obs.Json.String reason) ])
-
 let eval_feasible_on_uncounted ?noise t (probe : _ Target.probe) app config =
   if not (probe.Target.is_valid config) then begin
-    journal_infeasible probe app config "invalid";
+    if Obs.Journal.enabled () then
+      Obs.Journal.record ~kind:"engine.infeasible"
+        (journal_fields probe app config
+        @ [ ("reason", Obs.Json.String "invalid") ]);
     None
   end
   else
@@ -299,83 +294,6 @@ let eval_feasible_on_uncounted ?noise t (probe : _ Target.probe) app config =
 let eval_feasible_on ?noise t probe app config =
   Pool.run_inline (fun () ->
       eval_feasible_on_uncounted ?noise t probe app config)
-
-type admission =
-  | Infeasible
-  | Pruned of float * float
-  | Evaluated of Cost.t
-
-(* Bounds admission: before paying for a simulation, compare the
-   configuration's static lower runtime bound against the caller's
-   cutoff — the runtime above which the candidate provably cannot
-   matter (e.g. cannot beat a search's incumbent).  The cutoff is a
-   function of the candidate's resources so callers can fold resource
-   terms of their objective into it; it receives exactly the resource
-   estimate a full evaluation would report.  Pruned configurations are
-   never simulated and never cached (a later unbounded evaluation
-   computes them normally). *)
-let eval_bounded_on ?noise ~cutoff t (probe : _ Target.probe) app config =
-  let admit () =
-    match eval_feasible_on ?noise t probe app config with
-    | None -> Infeasible
-    | Some cost -> Evaluated cost
-  in
-  if not (probe.Target.is_valid config) then begin
-    journal_infeasible probe app config "invalid";
-    Infeasible
-  end
-  else
-    match probe.Target.static_bounds with
-    | None -> admit ()
-    | Some bounds_of ->
-        let resources, fits = noised_resources ?noise probe config in
-        if not fits then begin
-          journal_infeasible probe app config "unfit";
-          Infeasible
-        end
-        else
-          let limit = cutoff resources in
-          if limit = infinity then admit ()
-          else begin
-            let lo, hi = bounds_of app config in
-            Obs.Metrics.Counter.incr Bounds.m_computed;
-            if Obs.Journal.enabled () then
-              Obs.Journal.record ~kind:"bounds.computed"
-                (journal_fields probe app config
-                @ [
-                    ("lo", Obs.Json.Float lo);
-                    ("hi", Obs.Json.Float hi);
-                    ( "tightness",
-                      match Bounds.tightness ~lo ~hi with
-                      | Some r -> Obs.Json.Float r
-                      | None -> Obs.Json.Null );
-                  ]);
-            if lo > limit then begin
-              Obs.Metrics.Counter.incr Bounds.m_pruned;
-              if Obs.Journal.enabled () then
-                Obs.Journal.record ~kind:"engine.pruned"
-                  (journal_fields probe app config
-                  @ [
-                      ("lo", Obs.Json.Float lo);
-                      ("hi", Obs.Json.Float hi);
-                      ("cutoff", Obs.Json.Float limit);
-                    ]);
-              Pruned (lo, hi)
-            end
-            else admit ()
-          end
-
-(* Force lazily compiled programs before any pool fan-out: [Lazy] is
-   not domain-safe. *)
-let force_programs apps =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (app : Apps.Registry.t) ->
-      if not (Hashtbl.mem seen app.Apps.Registry.name) then begin
-        Hashtbl.add seen app.Apps.Registry.name ();
-        ignore (Lazy.force app.Apps.Registry.program)
-      end)
-    apps
 
 (* The pool batches fan out on: [None] runs them on the caller.  The
    shared pool is resolved lazily and only on machines with real
@@ -463,32 +381,6 @@ let batch ~span_name ~journal_dedup t keyed evaluate =
   let by_key = Hashtbl.create 64 in
   List.iter2 (fun (k, _) r -> Hashtbl.replace by_key k r) uniques results;
   List.map (fun (k, _) -> Hashtbl.find by_key k) keyed
-
-let eval_all_on ?noise t probe pairs =
-  match pairs with
-  | [] -> []
-  | [ (app, config) ] -> [ eval_on ?noise t probe app config ]
-  | _ ->
-      force_programs (List.map fst pairs);
-      let name (app : Apps.Registry.t) = app.Apps.Registry.name in
-      List.iter
-        (fun app ->
-          prime_batch ?noise t probe app
-            (List.filter_map
-               (fun (a, config) -> if name a = name app then Some config else None)
-               pairs))
-        (List.sort_uniq (fun a b -> compare (name a) (name b)) (List.map fst pairs));
-      let keyed =
-        List.map
-          (fun (app, config) -> (key_of ?noise probe app config, (app, config)))
-          pairs
-      in
-      batch ~span_name:"engine.eval_all" t keyed
-        ~journal_dedup:(fun (app, config) ->
-          if Obs.Journal.enabled () then
-            Obs.Journal.record ~kind:"engine.dedup"
-              (journal_fields probe app config))
-        (fun (app, config) -> eval_on_uncounted ?noise t probe app config)
 
 let eval_all_feasible_on ?noise t probe app configs =
   match configs with

@@ -99,7 +99,7 @@ val eval_all_segments_on :
   (Cost.t * Sim.Profiler.t list) list
 (** Per-phase measurement of one application's configurations, in
     input order, with the same deduplication and pooling as
-    {!eval_all_on}: like {!eval_on}, but the simulation is the
+    {!eval_all_feasible_on}: like {!eval_on}, but the simulation is the
     caller-supplied [segmented] function returning [(seconds,
     whole-run profile, per-phase profiles)] of a run cut at the
     boundaries of [phases], and the memo key is extended with the
@@ -109,36 +109,6 @@ val eval_all_segments_on :
     [segmented] must be deterministic for the [(phases, configuration)]
     pair. *)
 
-type admission =
-  | Infeasible  (** structurally invalid or exceeds the device *)
-  | Pruned of float * float
-      (** skipped without simulating: the static {e lower} runtime
-          bound already exceeds the caller's cutoff; carries the
-          [(lo, hi)] static bounds in seconds *)
-  | Evaluated of Cost.t  (** admitted and fully evaluated *)
-
-val eval_bounded_on :
-  ?noise:float ->
-  cutoff:(Synth.Resource.t -> float) ->
-  t ->
-  'c Target.probe ->
-  Apps.Registry.t ->
-  'c ->
-  admission
-(** {!eval_feasible_on} with a static-bounds admission gate.  When the
-    probe carries a [static_bounds] model and
-    [cutoff resources < infinity], the configuration's sound static
-    runtime bounds are computed first ([dse.bounds.computed]); a
-    candidate whose {e best-case} runtime strictly exceeds the cutoff
-    is provably dominated and returned as {!Pruned} without touching
-    the simulator ([dse.bounds.pruned]).  [cutoff] receives the same
-    (noised) resource estimate a full evaluation would report, so
-    callers can fold the resource share of their objective into the
-    runtime cutoff.  Returning [infinity] disables pruning for that
-    candidate; probes without [static_bounds] always evaluate.
-    Pruning is exact, not heuristic: searches driven through this path
-    select byte-identical winners, just with fewer simulations. *)
-
 val prime :
   ?noise:float -> t -> 'c Target.probe -> Apps.Registry.t -> 'c list -> unit
 (** Hand a batch of whole-run evaluations of one application to the
@@ -146,15 +116,8 @@ val prime :
     one: the configurations the engine would simulate (not those it has
     cached) are priced in a few walks on the engine's pool, and the
     evaluations that follow find them memoized.  The batch entry points
-    below do this themselves.  Changes no result and no engine
+    do this themselves.  Changes no result and no engine
     counter. *)
-
-val eval_all_on :
-  ?noise:float -> t -> 'c Target.probe -> (Apps.Registry.t * 'c) list -> Cost.t list
-(** Batch {!eval_on}, in input order.  Repeated requests are collapsed
-    before scheduling (counted as [dse.engine.inflight_dedup]), each
-    application's configurations are primed ({!prime}), and the
-    distinct requests fan out on the pool. *)
 
 val eval_all_feasible_on :
   ?noise:float ->
@@ -163,6 +126,7 @@ val eval_all_feasible_on :
   Apps.Registry.t ->
   'c list ->
   Cost.t option list
-(** Batch {!eval_feasible_on} for one application, in input order,
-    with the same deduplication, priming (of the valid configurations
-    that fit) and pooling as {!eval_all_on}. *)
+(** Batch {!eval_feasible_on} for one application, in input order.
+    Repeated requests are collapsed before scheduling (counted as
+    [dse.engine.inflight_dedup]), the valid configurations that fit are
+    primed ({!prime}), and the distinct requests fan out on the pool. *)

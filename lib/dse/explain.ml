@@ -25,7 +25,7 @@ type solve = {
   timeline : incumbent list; (* oldest first *)
 }
 
-type outcome = Hit | Build | Unfit | Dedup | Pruned | Infeasible
+type outcome = Hit | Build | Unfit | Dedup | Infeasible
 
 type candidate = {
   app : string;
@@ -34,7 +34,6 @@ type candidate = {
   builds : int;
   unfit : int;
   dedup : int;
-  pruned : int;
   infeasible : int;
 }
 
@@ -43,7 +42,6 @@ type accounting = {
   a_builds : int;
   a_unfit : int;
   a_dedup : int;
-  a_pruned : int;
   a_infeasible : int;
 }
 
@@ -55,7 +53,6 @@ type tightness_stats = {
 }
 
 type bounds_report = {
-  computed : int; (* bounds.computed + bounds.verify events *)
   verified : int;
   violations : int;
   tightness : tightness_stats option;
@@ -94,7 +91,7 @@ type t = {
 }
 
 let considered a =
-  a.a_hits + a.a_builds + a.a_unfit + a.a_dedup + a.a_pruned + a.a_infeasible
+  a.a_hits + a.a_builds + a.a_unfit + a.a_dedup + a.a_infeasible
 
 (* --- field access over journal events --- *)
 
@@ -118,11 +115,9 @@ let of_events events =
         a_builds = 0;
         a_unfit = 0;
         a_dedup = 0;
-        a_pruned = 0;
         a_infeasible = 0;
       }
   in
-  let computed = ref 0 in
   let verified = ref 0 in
   let violations = ref 0 in
   let tightnesses = ref [] in
@@ -145,7 +140,6 @@ let of_events events =
                 builds = 0;
                 unfit = 0;
                 dedup = 0;
-                pruned = 0;
                 infeasible = 0;
               }
         in
@@ -159,8 +153,6 @@ let of_events events =
               ({ c with unfit = c.unfit + 1 }, { a with a_unfit = a.a_unfit + 1 })
           | Dedup ->
               ({ c with dedup = c.dedup + 1 }, { a with a_dedup = a.a_dedup + 1 })
-          | Pruned ->
-              ({ c with pruned = c.pruned + 1 }, { a with a_pruned = a.a_pruned + 1 })
           | Infeasible ->
               ( { c with infeasible = c.infeasible + 1 },
                 { a with a_infeasible = a.a_infeasible + 1 } )
@@ -168,12 +160,6 @@ let of_events events =
         Hashtbl.replace table key c;
         acc := a
     | _ -> ()
-  in
-  let record_tightness fields =
-    computed := !computed + 1;
-    match num "tightness" fields with
-    | Some r -> tightnesses := r :: !tightnesses
-    | None -> ()
   in
   List.iter
     (fun (e : Obs.Journal.event) ->
@@ -208,7 +194,6 @@ let of_events events =
       | "engine.build" -> candidate_event Build f
       | "engine.unfit" -> candidate_event Unfit f
       | "engine.dedup" -> candidate_event Dedup f
-      | "engine.pruned" -> candidate_event Pruned f
       | "engine.infeasible" -> candidate_event Infeasible f
       | "schedule.phase" ->
           sched_phases :=
@@ -239,9 +224,10 @@ let of_events events =
                 num "scheduled_seconds" f,
                 int_f "switch_cycles" f,
                 num "gain_pct" f )
-      | "bounds.computed" -> record_tightness f
       | "bounds.verify" -> (
-          record_tightness f;
+          (match num "tightness" f with
+          | Some r -> tightnesses := r :: !tightnesses
+          | None -> ());
           verified := !verified + 1;
           match (num "actual" f, num "lo" f, num "hi" f) with
           | Some actual, Some lo, Some hi when actual < lo || actual > hi ->
@@ -294,12 +280,7 @@ let of_events events =
     candidates;
     account = !acc;
     bounds =
-      {
-        computed = !computed;
-        verified = !verified;
-        violations = !violations;
-        tightness;
-      };
+      { verified = !verified; violations = !violations; tightness };
     schedule;
   }
 
@@ -341,7 +322,6 @@ let candidate_json c =
       ("builds", Obs.Json.Int c.builds);
       ("unfit", Obs.Json.Int c.unfit);
       ("dedup", Obs.Json.Int c.dedup);
-      ("pruned", Obs.Json.Int c.pruned);
       ("infeasible", Obs.Json.Int c.infeasible);
     ]
 
@@ -404,13 +384,11 @@ let to_json ?(timings = true) t =
             ("builds", Obs.Json.Int a.a_builds);
             ("unfit", Obs.Json.Int a.a_unfit);
             ("dedup", Obs.Json.Int a.a_dedup);
-            ("pruned", Obs.Json.Int a.a_pruned);
             ("infeasible", Obs.Json.Int a.a_infeasible);
           ] );
       ( "bounds",
         Obs.Json.Obj
           ([
-             ("computed", Obs.Json.Int t.bounds.computed);
              ("verified", Obs.Json.Int t.bounds.verified);
              ("violations", Obs.Json.Int t.bounds.violations);
            ]
@@ -479,22 +457,20 @@ let to_markdown ?(timings = true) t =
   let a = t.account in
   buf_addf b "\n## Candidates\n\n";
   buf_addf b
-    "considered: %d (hits %d, builds %d, unfit %d, dedup %d, pruned %d, \
-     infeasible %d)\n"
-    (considered a) a.a_hits a.a_builds a.a_unfit a.a_dedup a.a_pruned
-    a.a_infeasible;
+    "considered: %d (hits %d, builds %d, unfit %d, dedup %d, infeasible %d)\n"
+    (considered a) a.a_hits a.a_builds a.a_unfit a.a_dedup a.a_infeasible;
   if t.candidates <> [] then begin
-    buf_addf b "\n| app | config | hits | builds | unfit | dedup | pruned | infeasible |\n";
-    buf_addf b "|---|---|---:|---:|---:|---:|---:|---:|\n";
+    buf_addf b "\n| app | config | hits | builds | unfit | dedup | infeasible |\n";
+    buf_addf b "|---|---|---:|---:|---:|---:|---:|\n";
     List.iter
       (fun c ->
-        buf_addf b "| %s | `%s` | %d | %d | %d | %d | %d | %d |\n" c.app
-          c.config c.hits c.builds c.unfit c.dedup c.pruned c.infeasible)
+        buf_addf b "| %s | `%s` | %d | %d | %d | %d | %d |\n" c.app c.config
+          c.hits c.builds c.unfit c.dedup c.infeasible)
       t.candidates
   end;
   buf_addf b "\n## Static bounds\n\n";
-  buf_addf b "computed: %d, verified: %d, violations: %d\n" t.bounds.computed
-    t.bounds.verified t.bounds.violations;
+  buf_addf b "verified: %d, violations: %d\n" t.bounds.verified
+    t.bounds.violations;
   (match t.bounds.tightness with
   | None -> ()
   | Some s ->

@@ -2,14 +2,13 @@
 
     One pipeline run with journalling enabled leaves a raw event
     stream: per-candidate engine outcomes (hit / build / unfit /
-    in-flight dedup / bounds-pruned / infeasible), solver incumbent
-    improvements, and static-bound tightness checks.  [of_journal]
+    in-flight dedup / infeasible), solver incumbent improvements, and
+    the verify phase's static-bound cross-checks.  [of_journal]
     aggregates it into a report answering "why did the run do what it
     did": the incumbent timeline of every solve, a per-candidate
     outcome table whose totals reconcile with the [dse.*] metrics
-    ([builds = dse.builds], [hits = dse.engine.hits],
-    [pruned = dse.bounds.pruned]), and tightness statistics of every
-    bound the run computed.
+    ([builds = dse.builds], [hits = dse.engine.hits]), and tightness
+    statistics of every bound the verify phase checked.
 
     Rendered with [~timings:false] the report contains no wall-clock
     fields and candidates are sorted by (app, config), so a pinned
@@ -38,7 +37,6 @@ type candidate = {
   builds : int;
   unfit : int;
   dedup : int;
-  pruned : int;
   infeasible : int;
 }
 
@@ -47,7 +45,6 @@ type accounting = {
   a_builds : int;
   a_unfit : int;
   a_dedup : int;
-  a_pruned : int;
   a_infeasible : int;
 }
 
@@ -59,7 +56,6 @@ type tightness_stats = {
 }
 
 type bounds_report = {
-  computed : int;
   verified : int;  (** verify-phase cross-checks of a built result *)
   violations : int;  (** actual runtime outside its static bounds *)
   tightness : tightness_stats option;  (** [None] when no ratios exist *)
@@ -103,7 +99,7 @@ type t = {
 }
 
 val considered : accounting -> int
-(** Total engine decisions: the sum of all six outcome counts. *)
+(** Total engine decisions: the sum of all five outcome counts. *)
 
 val of_events : Obs.Journal.event list -> t
 

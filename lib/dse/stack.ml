@@ -848,53 +848,6 @@ module Make (T : Target.S) = struct
       | first :: rest ->
           let better a b = if key a <= key b then a else b in
           fst (List.fold_left better first rest)
-
-    (** {!sweep} + {!best_runtime} through the engine's static-bounds
-        admission gate: the candidate with the smallest static worst
-        case is simulated first, and its actual runtime prunes every
-        candidate whose static best case is already slower
-        ([dse.bounds.pruned]).  Pruned points have [seconds >= lo >
-        incumbent.seconds >= min seconds], so they can neither win nor
-        tie the lexicographic argmin: the selected point is
-        byte-identical to a full sweep's, with fewer simulations.
-        @raise Not_found if no candidate is feasible. *)
-    let best_runtime_search app configs =
-      match T.probe.Target.static_bounds with
-      | None -> best_runtime (sweep app configs)
-      | Some bounds_of -> (
-          let engine = Engine.default () in
-          ignore (Lazy.force app.Apps.Registry.program);
-          let cands = List.filter T.feasible configs in
-          match cands with
-          | [] -> raise Not_found
-          | first :: rest ->
-              let static_hi config = snd (bounds_of app config) in
-              let seed, _ =
-                List.fold_left
-                  (fun (bc, bh) c ->
-                    let h = static_hi c in
-                    if h < bh then (c, h) else (bc, bh))
-                  (first, static_hi first)
-                  rest
-              in
-              let incumbent = Engine.eval_on engine T.probe app seed in
-              let cutoff (_ : Synth.Resource.t) = incumbent.Cost.seconds in
-              let points =
-                List.map
-                  (fun config ->
-                    if T.equal config seed then
-                      { config; cost = Some incumbent }
-                    else
-                      match
-                        Engine.eval_bounded_on engine ~cutoff T.probe app
-                          config
-                      with
-                      | Engine.Evaluated cost -> { config; cost = Some cost }
-                      | Engine.Infeasible | Engine.Pruned _ ->
-                          { config; cost = None })
-                  cands
-              in
-              best_runtime points)
   end
 
   (** Heuristic design-space exploration baselines.
@@ -920,42 +873,13 @@ module Make (T : Target.S) = struct
       objective : float;  (** weighted objective vs the base *)
       builds : int;  (** configurations actually simulated *)
       pruned : int;
-          (** candidates skipped without a simulation — by a static
-              feature argument or by the engine's static-bounds
-              admission gate ({!Engine.eval_bounded_on}); both are
+          (** candidates skipped without a simulation by
+              {!coordinate_descent}'s static feature argument; it is
               trajectory-preserving, so the returned configuration is
               the one an unpruned run selects *)
     }
 
-    let evaluate ~weights ~base app config =
-      let cost = Engine.eval_on (Engine.default ()) T.probe app config in
-      (cost, Cost.objective weights (deltas ~base cost))
-
-    (* The runtime above which a feasible candidate with resource
-       estimate [r] provably cannot reach an objective strictly below
-       [obj]: from [w1 rho + w2 (lambda + beta) < obj] with
-       [rho = 100 (s - b) / b].  The epsilon makes the cutoff strictly
-       conservative under floating-point rounding (prune less, never
-       more).  With [w1 <= 0] runtime does not constrain the objective
-       at all, so no candidate can be pruned on runtime bounds. *)
-    let objective_cutoff ~weights ~(base : Cost.t) obj (r : Synth.Resource.t) =
-      if weights.Cost.w1 <= 0.0 then infinity
-      else
-        let lambda = lut_percent r -. lut_percent base.Cost.resources in
-        let beta = bram_percent r -. bram_percent base.Cost.resources in
-        let s =
-          base.Cost.seconds
-          *. (1.0
-             +. (obj -. (weights.Cost.w2 *. (lambda +. beta)))
-                /. (100.0 *. weights.Cost.w1))
-        in
-        s +. (1e-9 *. (Float.abs s +. 1.0))
-
-    (** Samples until [builds] feasible candidates have been spent.  A
-        feasible draw whose static {e best-case} runtime already loses
-        to the incumbent consumes budget without simulating, so
-        [result.builds + result.pruned = builds] and the winner matches
-        an unpruned run's draw for draw. *)
+    (** Samples until [builds] feasible candidates have been evaluated. *)
     let random_search ?(seed = 0x5EA7C4) ~builds ~weights app =
       if builds < 1 then
         invalid_arg "Heuristic.random_search: builds must be >= 1";
@@ -971,29 +895,13 @@ module Make (T : Target.S) = struct
       let base = Engine.eval_on engine T.probe app T.base in
       let best = ref (T.base, base, 0.0) in
       let spent = ref 0 in
-      let pruned = ref 0 in
-      (* Admission cutoff against the current incumbent: tightens as
-         the search improves. *)
-      let cutoff r =
-        let _, _, best_obj = !best in
-        objective_cutoff ~weights ~base best_obj r
-      in
       while !spent < builds do
         let config = T.random_config rng in
         (* The engine elaborates resources once for the feasibility
-           check, the bounds cutoff and the cost; infeasible draws are
-           free. *)
-        match Engine.eval_bounded_on engine ~cutoff T.probe app config with
-        | Engine.Infeasible -> ()
-        | Engine.Pruned _ ->
-            (* A feasible draw that provably cannot beat the
-               incumbent: it consumes budget exactly as the losing
-               build it replaces would, so the draw sequence and the
-               winner are unchanged — only the simulation count
-               drops. *)
-            incr spent;
-            incr pruned
-        | Engine.Evaluated cost ->
+           check and the cost; infeasible draws are free. *)
+        match Engine.eval_feasible_on engine T.probe app config with
+        | None -> ()
+        | Some cost ->
             incr spent;
             Obs.Metrics.Counter.incr m_heuristic_builds;
             let objective = Cost.objective weights (deltas ~base cost) in
@@ -1001,7 +909,7 @@ module Make (T : Target.S) = struct
             if objective < best_obj then best := (config, cost, objective)
       done;
       let config, cost, objective = !best in
-      { config; cost; objective; builds = builds - !pruned; pruned = !pruned }
+      { config; cost; objective; builds; pruned = 0 }
 
     (* Skipping is trajectory-preserving: a pruned candidate has the
        exact runtime of the incumbent and no better LUT or BRAM count,
@@ -1051,23 +959,11 @@ module Make (T : Target.S) = struct
                       incr pruned;
                       Obs.Metrics.Counter.incr m_heuristic_pruned
                   | _ -> (
-                      (* Bounds admission against the strict
-                         improvement threshold: a pruned candidate
-                         provably fails [objective < current - 1e-9],
-                         so the descent trajectory is unchanged. *)
-                      let cutoff =
-                        objective_cutoff ~weights ~base
-                          (!current_obj -. 1e-9)
-                      in
                       match
-                        Engine.eval_bounded_on engine ~cutoff T.probe app
-                          candidate
+                        Engine.eval_feasible_on engine T.probe app candidate
                       with
-                      | Engine.Infeasible -> ()
-                      | Engine.Pruned _ ->
-                          incr pruned;
-                          Obs.Metrics.Counter.incr m_heuristic_pruned
-                      | Engine.Evaluated cost ->
+                      | None -> ()
+                      | Some cost ->
                           incr builds;
                           Obs.Metrics.Counter.incr m_heuristic_builds;
                           let objective =

@@ -39,8 +39,8 @@ type 'c probe = {
       (** sound [best, worst] runtime bounds (seconds, full
           reps-scaled run — the same unit [simulate] reports) computed
           without simulating; [None] when the backend has no static
-          cost model.  The engine's bounds-admission path uses this to
-          skip provably dominated simulations. *)
+          cost model.  The optimizer's verify-by-build sanitizer
+          cross-checks every verification build against them. *)
 }
 
 module type S = sig

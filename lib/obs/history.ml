@@ -93,7 +93,6 @@ let default_rules =
     { metric = "solver_nodes"; max_ratio = Some 1.05; min_ratio = None };
     { metric = "sim_cycles"; max_ratio = Some 1.05; min_ratio = None };
     { metric = "builds"; max_ratio = Some 1.05; min_ratio = None };
-    { metric = "bounds_pruned"; max_ratio = None; min_ratio = Some 0.95 };
     { metric = "engine_hits"; max_ratio = None; min_ratio = Some 0.95 };
     (* simulator throughput: identical work (sim_cycles is pinned
        above) must not get much slower to execute *)

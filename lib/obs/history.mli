@@ -34,10 +34,10 @@ type rule = {
 
 val default_rules : rule list
 (** Wall-clock 1.5x (noisy), solver nodes / simulated cycles / builds
-    1.05x (deterministic), bounds-pruned and engine hits floored at
-    0.95x (pruning power and cache effectiveness must not silently
-    erode), simulator and solver throughput ([sim_cycles_per_second],
-    [binlp_nodes_per_second]) floored at 0.67x. *)
+    1.05x (deterministic), engine hits floored at 0.95x (cache
+    effectiveness must not silently erode), simulator and solver
+    throughput ([sim_cycles_per_second], [binlp_nodes_per_second])
+    floored at 0.67x. *)
 
 type regression = {
   metric : string;

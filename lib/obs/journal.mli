@@ -2,8 +2,8 @@
 
     Spans answer "where did the time go"; the journal answers "which
     decisions were made and why": per-candidate engine outcomes
-    (hit / built / unfit / bounds-pruned with the violated cutoff),
-    solver incumbent improvements, static-bound tightness.  Consumers
+    (hit / built / unfit / deduplicated / infeasible), solver incumbent
+    improvements, static-bound tightness.  Consumers
     ([reconfigure --explain], the fuzz oracle) aggregate the raw
     stream into reports.
 

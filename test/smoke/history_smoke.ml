@@ -6,7 +6,7 @@
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 let clean_metrics =
-  [ ("wall_clock_s", 1.0); ("builds", 100.0); ("bounds_pruned", 40.0) ]
+  [ ("wall_clock_s", 1.0); ("builds", 100.0); ("engine_hits", 40.0) ]
 
 let entry ~rev metrics =
   { Obs.History.rev; target = "smoke"; time = 0.0; metrics }
@@ -28,11 +28,11 @@ let () =
   (match Obs.History.check ~history (entry ~rev:"r2" clean_metrics) with
   | [] -> ()
   | regs -> fail "clean re-run flagged %d regression(s)" (List.length regs));
-  (* perturb: wall clock doubles (above its 1.50x limit), pruning
-     halves (below its 0.95x floor) *)
+  (* perturb: wall clock doubles (above its 1.50x limit), engine hits
+     halve (below their 0.95x floor) *)
   let perturbed =
     entry ~rev:"r2"
-      [ ("wall_clock_s", 2.0); ("builds", 100.0); ("bounds_pruned", 20.0) ]
+      [ ("wall_clock_s", 2.0); ("builds", 100.0); ("engine_hits", 20.0) ]
   in
   (* detect *)
   (match Obs.History.check ~history perturbed with
@@ -41,8 +41,8 @@ let () =
       let metric_of (r : Obs.History.regression) = r.Obs.History.metric in
       if not (List.mem "wall_clock_s" (List.map metric_of regs)) then
         fail "wall-clock regression not detected";
-      if not (List.mem "bounds_pruned" (List.map metric_of regs)) then
-        fail "pruning-floor regression not detected";
+      if not (List.mem "engine_hits" (List.map metric_of regs)) then
+        fail "engine-hits floor regression not detected";
       List.iter
         (fun (r : Obs.History.regression) ->
           Format.printf "detected: %a@." Obs.History.pp_regression r)

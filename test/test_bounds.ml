@@ -165,41 +165,6 @@ let test_tightness () =
     "unbounded" None
     (Dse.Bounds.tightness ~lo:3.0 ~hi:infinity)
 
-(* --- bounds-gated exhaustive search --- *)
-
-let test_best_runtime_search_identity () =
-  let app = Apps.Registry.arith in
-  let with_mul m =
-    { Arch.Config.base with
-      Arch.Config.iu =
-        { Arch.Config.base.Arch.Config.iu with Arch.Config.multiplier = m }
-    }
-  in
-  let configs =
-    List.map with_mul
-      [
-        Arch.Config.Mul_none;
-        Arch.Config.Mul_iterative;
-        Arch.Config.Mul_16x16;
-        Arch.Config.Mul_32x16;
-        Arch.Config.Mul_32x32;
-      ]
-  in
-  let plain = Dse.Leon2.Exhaustive.best_runtime (Dse.Leon2.Exhaustive.sweep app configs) in
-  let before = Obs.Metrics.Counter.value Dse.Bounds.m_pruned in
-  let searched = Dse.Leon2.Exhaustive.best_runtime_search app configs in
-  let after = Obs.Metrics.Counter.value Dse.Bounds.m_pruned in
-  check_bool "same winning configuration" true
-    (Dse.Target_leon2.to_string plain.Dse.Leon2.Exhaustive.config
-    = Dse.Target_leon2.to_string searched.Dse.Leon2.Exhaustive.config);
-  (match (plain.Dse.Leon2.Exhaustive.cost, searched.Dse.Leon2.Exhaustive.cost) with
-  | Some a, Some b ->
-      Alcotest.(check (float 0.0))
-        "same runtime" a.Dse.Cost.seconds b.Dse.Cost.seconds
-  | _ -> Alcotest.fail "both searches must cost the winner");
-  check_bool "the gated search pruned dominated candidates" true
-    (after > before)
-
 let () =
   Alcotest.run "bounds"
     [
@@ -220,10 +185,5 @@ let () =
         [
           Alcotest.test_case "monotone in stalls" `Quick test_pricing_monotone;
           Alcotest.test_case "tightness" `Quick test_tightness;
-        ] );
-      ( "exhaustive",
-        [
-          Alcotest.test_case "gated search identity" `Quick
-            test_best_runtime_search_identity;
         ] );
     ]

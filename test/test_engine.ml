@@ -157,16 +157,16 @@ let test_unfit_upgrade () =
 let test_eval_all_matches_serial () =
   let app = Apps.Registry.arith in
   let configs = List.init 12 config_of_seed in
-  let pairs = List.map (fun c -> (app, c)) (configs @ List.rev configs) in
+  let requests = configs @ List.rev configs in
   let pool = Dse.Pool.create ~workers:4 () in
   Fun.protect
     ~finally:(fun () -> Dse.Pool.shutdown pool)
     (fun () ->
       let pooled = Dse.Engine.create ~pool () in
-      let batch = Dse.Engine.eval_all_on pooled leon2 pairs in
+      let batch = Dse.Engine.eval_all_feasible_on pooled leon2 app requests in
       let serial_engine = Dse.Engine.create () in
       let serial =
-        List.map (fun (a, c) -> Dse.Engine.eval_on serial_engine leon2 a c) pairs
+        List.map (Dse.Engine.eval_feasible_on serial_engine leon2 app) requests
       in
       check_int "lengths agree" (List.length serial) (List.length batch);
       List.iteri
@@ -180,7 +180,9 @@ let test_eval_all_dedups_batch () =
   let config = config_of_seed 7 in
   let e = Dse.Engine.create () in
   let before = Obs.Metrics.snapshot () in
-  let costs = Dse.Engine.eval_all_on e leon2 (List.init 5 (fun _ -> (app, config))) in
+  let costs =
+    Dse.Engine.eval_all_feasible_on e leon2 app (List.init 5 (fun _ -> config))
+  in
   let after = Obs.Metrics.snapshot () in
   check_int "five results" 5 (List.length costs);
   check_bool "all identical" true

@@ -15,20 +15,25 @@ let test_random_config_valid () =
     | Error m -> Alcotest.failf "invalid random config: %s" m
   done
 
+(* One case per registry app: every feasible draw is evaluated, so the
+   search spends exactly its budget on builds and prunes nothing. *)
 let test_random_search_budget () =
-  let r =
-    Dse.Leon2.Heuristic.random_search ~builds:10 ~weights:Dse.Cost.runtime_weights
-      Apps.Registry.arith
-  in
-  (* Every feasible draw consumes budget; bounds admission decides
-     whether it is simulated ([builds]) or provably dominated and
-     skipped ([pruned]). *)
-  check_int "spent exactly the budget" 10
-    (r.Dse.Leon2.Heuristic.builds + r.Dse.Leon2.Heuristic.pruned);
-  check_bool "at least the winner is simulated" true
-    (r.Dse.Leon2.Heuristic.builds >= 1);
-  check_bool "never worse than base" true (r.Dse.Leon2.Heuristic.objective <= 0.0);
-  check_bool "feasible" true (Synth.Resource.fits r.Dse.Leon2.Heuristic.cost.Dse.Cost.resources)
+  let n = 56 in
+  List.iter
+    (fun (app : Apps.Registry.t) ->
+      let r =
+        Dse.Leon2.Heuristic.random_search ~builds:n
+          ~weights:Dse.Cost.runtime_weights app
+      in
+      let name = app.Apps.Registry.name in
+      check_int (name ^ ": builds = budget") n r.Dse.Leon2.Heuristic.builds;
+      check_int (name ^ ": nothing pruned") 0 r.Dse.Leon2.Heuristic.pruned;
+      check_bool (name ^ ": never worse than base") true
+        (r.Dse.Leon2.Heuristic.objective <= 0.0);
+      check_bool (name ^ ": feasible") true
+        (Synth.Resource.fits
+           r.Dse.Leon2.Heuristic.cost.Dse.Cost.resources))
+    Apps.Registry.all
 
 let test_random_search_deterministic () =
   let go () =
@@ -94,30 +99,34 @@ let test_features_recursion_unbounded () =
   Alcotest.(check (option int))
     "and no stack bound" None ft.Apps.Features.stack_bytes
 
+(* One case per registry app: a plain descent prunes nothing, and the
+   feature argument only turns some of its builds into skips — same
+   trajectory, same winner, the same candidates considered. *)
 let test_static_pruning_preserves_trajectory () =
   let weights = Dse.Cost.runtime_weights in
-  let app = Apps.Registry.arith in
-  let plain = Dse.Leon2.Heuristic.coordinate_descent ~weights app in
-  let pruned =
-    Dse.Leon2.Heuristic.coordinate_descent
-      ~features:(Apps.Features.of_app app)
-      ~weights app
-  in
-  check_bool "same final configuration" true
-    (Arch.Config.equal plain.Dse.Leon2.Heuristic.config pruned.Dse.Leon2.Heuristic.config);
-  Alcotest.(check (float 1e-9))
-    "same objective" plain.Dse.Leon2.Heuristic.objective
-    pruned.Dse.Leon2.Heuristic.objective;
-  check_bool "features never prune less than bounds admission alone" true
-    (pruned.Dse.Leon2.Heuristic.pruned >= plain.Dse.Leon2.Heuristic.pruned);
-  check_bool "some candidates pruned" true (pruned.Dse.Leon2.Heuristic.pruned > 0);
-  check_bool "no more builds with features than without" true
-    (pruned.Dse.Leon2.Heuristic.builds <= plain.Dse.Leon2.Heuristic.builds);
-  (* both runs walk the identical candidate sequence; each candidate is
-     either simulated or (feature- or bounds-)pruned *)
-  check_int "candidates considered add up"
-    (plain.Dse.Leon2.Heuristic.builds + plain.Dse.Leon2.Heuristic.pruned)
-    (pruned.Dse.Leon2.Heuristic.builds + pruned.Dse.Leon2.Heuristic.pruned)
+  List.iter
+    (fun (app : Apps.Registry.t) ->
+      let name = app.Apps.Registry.name in
+      let plain = Dse.Leon2.Heuristic.coordinate_descent ~weights app in
+      let pruned =
+        Dse.Leon2.Heuristic.coordinate_descent
+          ~features:(Apps.Features.of_app app)
+          ~weights app
+      in
+      check_int (name ^ ": plain descent prunes nothing") 0
+        plain.Dse.Leon2.Heuristic.pruned;
+      check_bool (name ^ ": same final configuration") true
+        (Arch.Config.equal plain.Dse.Leon2.Heuristic.config
+           pruned.Dse.Leon2.Heuristic.config);
+      Alcotest.(check (float 0.0))
+        (name ^ ": same objective") plain.Dse.Leon2.Heuristic.objective
+        pruned.Dse.Leon2.Heuristic.objective;
+      check_bool (name ^ ": some candidates pruned") true
+        (pruned.Dse.Leon2.Heuristic.pruned > 0);
+      check_int (name ^ ": candidates considered add up")
+        plain.Dse.Leon2.Heuristic.builds
+        (pruned.Dse.Leon2.Heuristic.builds + pruned.Dse.Leon2.Heuristic.pruned))
+    Apps.Registry.all
 
 (* --- Convex recast --- *)
 

@@ -463,7 +463,7 @@ let entry ?(rev = "r0") ?(target = "fig2") metrics =
   { Obs.History.rev; target; time = 0.0; metrics }
 
 let base_metrics =
-  [ ("wall_clock_s", 1.0); ("builds", 100.0); ("bounds_pruned", 40.0) ]
+  [ ("wall_clock_s", 1.0); ("builds", 100.0); ("engine_hits", 40.0) ]
 
 let with_temp_history f =
   let path = Filename.temp_file "bench_history" ".jsonl" in
@@ -501,17 +501,17 @@ let test_history_detects_regressions () =
   let history = List.init 5 (fun _ -> entry base_metrics) in
   let regressed =
     entry
-      [ ("wall_clock_s", 2.0); ("builds", 120.0); ("bounds_pruned", 10.0) ]
+      [ ("wall_clock_s", 2.0); ("builds", 120.0); ("engine_hits", 10.0) ]
   in
   let regs = Obs.History.check ~history regressed in
   let names = List.map (fun r -> r.Obs.History.metric) regs in
   check_bool "wall clock flagged" true (List.mem "wall_clock_s" names);
   check_bool "builds flagged" true (List.mem "builds" names);
-  check_bool "pruned floor flagged" true (List.mem "bounds_pruned" names);
+  check_bool "hits floor flagged" true (List.mem "engine_hits" names);
   (* Noise within threshold passes: +20% wall clock, +2% builds. *)
   let noisy =
     entry
-      [ ("wall_clock_s", 1.2); ("builds", 102.0); ("bounds_pruned", 40.0) ]
+      [ ("wall_clock_s", 1.2); ("builds", 102.0); ("engine_hits", 40.0) ]
   in
   check_int "noise tolerated" 0
     (List.length (Obs.History.check ~history noisy))
