@@ -188,6 +188,15 @@ let measurements ~wall_ns ~(before : Obs.Metrics.snapshot)
     | Some (Obs.Metrics.Gauge v) -> v
     | _ -> 0.0
   in
+  let seconds key =
+    let sum snap =
+      match Obs.Metrics.find snap key with
+      | Some (Obs.Metrics.Histogram { sum; _ }) -> sum
+      | _ -> 0.0
+    in
+    sum after -. sum before
+  in
+  let recording_s = seconds "sim.pricer.record_seconds" in
   let wall_s = Int64.to_float wall_ns /. 1e9 in
   [
     ("wall_clock_s", wall_s);
@@ -218,12 +227,25 @@ let measurements ~wall_ns ~(before : Obs.Metrics.snapshot)
       if wall_s > 0.0 then float_of_int (delta "binlp.nodes") /. wall_s
       else 0.0 );
   ]
+  (* recorder throughput: instructions executed per second spent
+     recording, so it moves with the recorder alone.  Left out when the
+     experiment recorded nothing (an earlier one in the process already
+     stored its programs): a 0 would read as a regression against any
+     baseline and drag later medians down. *)
+  @
+  if recording_s > 0.0 then
+    [
+      ( "recorded_insns_per_second",
+        float_of_int (delta "sim.pricer.recorded_insns") /. recording_s );
+    ]
+  else []
 
 (* "wall_clock_s" and the derived throughput are floats; every counter
    delta renders as an int so the JSON stays shaped as before. *)
 let float_keys =
   [
     "wall_clock_s"; "sim_cycles_per_second"; "binlp_nodes_per_second";
+    "recorded_insns_per_second";
     "schedule_gain_pct";
   ]
 

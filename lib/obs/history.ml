@@ -100,6 +100,10 @@ let default_rules =
     (* solver throughput: same floor as the simulator — solver_nodes
        is pinned above, so nodes/s drift means the B&B loop slowed *)
     { metric = "binlp_nodes_per_second"; max_ratio = None; min_ratio = Some 0.67 };
+    (* recorder throughput: instructions executed per second of
+       recording — a recorder slowdown moves it whatever the pricing
+       does *)
+    { metric = "recorded_insns_per_second"; max_ratio = None; min_ratio = Some 0.67 };
     (* phase-schedule pipeline: detection and the schedule solve are
        deterministic for a fixed seed, so drift in either direction is
        a behavior change; the verified gain must not erode *)

@@ -35,9 +35,10 @@ type rule = {
 val default_rules : rule list
 (** Wall-clock 1.5x (noisy), solver nodes / simulated cycles / builds
     1.05x (deterministic), engine hits floored at 0.95x (cache
-    effectiveness must not silently erode), simulator and solver
-    throughput ([sim_cycles_per_second], [binlp_nodes_per_second])
-    floored at 0.67x. *)
+    effectiveness must not silently erode), simulator, solver and
+    recorder throughput ([sim_cycles_per_second],
+    [binlp_nodes_per_second], [recorded_insns_per_second]) floored at
+    0.67x. *)
 
 type regression = {
   metric : string;

@@ -64,17 +64,18 @@ let rec find_from t base tag w =
 
 let find_way t ~set ~tag = find_from t (set * t.ways) tag 0
 
+(* The first invalid way of the set at [base] from [w], or -1. *)
+let rec first_invalid t base w =
+  if w = t.ways then -1
+  else if not t.valid.(base + w) then w
+  else first_invalid t base (w + 1)
+
 let fill t ~set ~tag =
   let base = set * t.ways in
-  let rec first_invalid w =
-    if w = t.ways then None
-    else if not t.valid.(base + w) then Some w
-    else first_invalid (w + 1)
-  in
   let way =
-    match first_invalid 0 with
-    | Some w -> w
-    | None -> Replacement.victim t.policy ~set
+    match first_invalid t base 0 with
+    | -1 -> Replacement.victim t.policy ~set
+    | w -> w
   in
   t.tags.(base + way) <- tag;
   t.valid.(base + way) <- true;

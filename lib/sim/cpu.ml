@@ -473,17 +473,23 @@ let compile t idx (d : Decode.insn) =
         t.halted <- true;
         commit t fall c
 
-(* Recording handler: the instruction's architectural semantics plus
+(* Recording handlers: the instruction's architectural semantics plus
    the configuration-invariant facts {!Pricer} needs, and nothing of
-   the timing — no cache probe, no cycle, no stall.  It counts retired
-   instructions and taken branches, which is all [Pricer.record] checks
-   the tape against, and leaves the caches, their statistics and every
-   other profile counter alone.  Effective addresses go on the tape
-   before the destination register is written (it may be the base
-   register); control decisions, window events and [%sp]/[%fp] values
-   after.  A separate compile, so the timing handlers carry no
-   recording hook. *)
-let functional t rc idx (d : Decode.insn) =
+   the timing — no cache probe, no cycle, no stall.  They count taken
+   branches and leave the caches, their statistics and every other
+   profile counter alone.  Effective addresses go on the tape before
+   the destination register is written (it may be the base register);
+   control decisions, window events and [%sp]/[%fp] values after.  A
+   separate compile, so the timing handlers carry no recording hook.
+
+   The compile is block-threaded: {!record} runs a basic block — the
+   instructions up to and including the next control transfer — as one
+   step and retires it at once, so a straight-line handler neither
+   counts itself nor advances [pc]; only a control transfer sets [pc].
+   The program's last instruction is the exception when it falls
+   through: it ends its block without transferring control, so it
+   advances [pc] (off the program) itself. *)
+let functional t rc ~last idx (d : Decode.insn) =
   let fall = idx + 1 in
   let rd = d.Decode.rd in
   let rs1 = d.Decode.rs1 in
@@ -491,7 +497,6 @@ let functional t rc idx (d : Decode.insn) =
   let imm = d.Decode.imm in
   let tgt = d.Decode.target in
   let prof = t.prof in
-  let retire () = prof.Profiler.instructions <- prof.Profiler.instructions + 1 in
   let taken () = prof.Profiler.taken_branches <- prof.Profiler.taken_branches + 1 in
   (* a write of the current frame's [%sp] or [%fp], which the tape
      tracks for the spill and fill addresses *)
@@ -500,60 +505,47 @@ let functional t rc idx (d : Decode.insn) =
     if rd = Isa.Reg.sp then Tape.set_sp rc (rread t rd)
     else Tape.set_fp rc (rread t rd)
   in
+  let straight h = if last then fun () -> h (); t.pc <- fall else h in
   match d.Decode.op with
   | Decode.Alu (op, cc) ->
-      fun () ->
-        retire ();
-        let a = rread t rs1 in
-        let b = operand2 t rs2 imm in
-        let res = alu_result op a b in
-        if cc then set_icc_arith t op a b res;
-        rwrite t rd res;
-        if frame then frame_write ();
-        t.pc <- fall
+      straight (fun () ->
+          let a = rread t rs1 in
+          let b = operand2 t rs2 imm in
+          let res = alu_result op a b in
+          if cc then set_icc_arith t op a b res;
+          rwrite t rd res;
+          if frame then frame_write ())
   | Decode.Sethi ->
-      fun () ->
-        retire ();
-        rwrite t rd imm;
-        if frame then frame_write ();
-        t.pc <- fall
+      straight (fun () ->
+          rwrite t rd imm;
+          if frame then frame_write ())
   | Decode.Mul (signed, cc) ->
-      fun () ->
-        retire ();
-        let res = mul_result signed (rread t rs1) (operand2 t rs2 imm) in
-        if cc then set_icc_mul t res;
-        rwrite t rd res;
-        if frame then frame_write ();
-        t.pc <- fall
+      straight (fun () ->
+          let res = mul_result signed (rread t rs1) (operand2 t rs2 imm) in
+          if cc then set_icc_mul t res;
+          rwrite t rd res;
+          if frame then frame_write ())
   | Decode.Div signed ->
-      fun () ->
-        retire ();
-        rwrite t rd (div_result idx signed (rread t rs1) (operand2 t rs2 imm));
-        if frame then frame_write ();
-        t.pc <- fall
+      straight (fun () ->
+          rwrite t rd (div_result idx signed (rread t rs1) (operand2 t rs2 imm));
+          if frame then frame_write ())
   | Decode.Load (width, signed) ->
-      fun () ->
-        retire ();
-        let addr = ea t rs1 rs2 imm in
-        Tape.load rc addr;
-        rwrite t rd (load_value t width signed addr);
-        if frame then frame_write ();
-        t.pc <- fall
+      straight (fun () ->
+          let addr = ea t rs1 rs2 imm in
+          Tape.load rc addr;
+          rwrite t rd (load_value t width signed addr);
+          if frame then frame_write ())
   | Decode.Store width ->
-      fun () ->
-        retire ();
-        let addr = ea t rs1 rs2 imm in
-        Tape.store rc addr;
-        store_value t width addr (rread t rd);
-        t.pc <- fall
+      straight (fun () ->
+          let addr = ea t rs1 rs2 imm in
+          Tape.store rc addr;
+          store_value t width addr (rread t rd))
   | Decode.Branch Isa.Insn.Always ->
       fun () ->
-        retire ();
         taken ();
         t.pc <- tgt
   | Decode.Branch cond ->
       fun () ->
-        retire ();
         if branch_taken t cond then begin
           taken ();
           Tape.branch rc true;
@@ -565,55 +557,51 @@ let functional t rc idx (d : Decode.insn) =
         end
   | Decode.Call ->
       fun () ->
-        retire ();
         rwrite t rd idx;
         t.pc <- tgt
   | Decode.Jmpl ->
       fun () ->
-        retire ();
         let target = ea t rs1 rs2 imm in
         rwrite t rd idx;
         Tape.jump rc target;
         if frame then frame_write ();
         t.pc <- target
   | Decode.Save ->
-      fun () ->
-        retire ();
-        let res = ea t rs1 rs2 imm in
-        if t.resident = t.nwin - 1 then begin
-          let w = oldest_window t in
-          spill_moves t w (window_sp t w)
-        end
-        else t.resident <- t.resident + 1;
-        enter_window t;
-        rwrite t rd res;
-        Tape.save rc ~sp:(rread t Isa.Reg.sp);
-        if rd = Isa.Reg.fp then Tape.set_fp rc (rread t rd);
-        t.pc <- fall
+      straight (fun () ->
+          let res = ea t rs1 rs2 imm in
+          if t.resident = t.nwin - 1 then begin
+            let w = oldest_window t in
+            spill_moves t w (window_sp t w)
+          end
+          else t.resident <- t.resident + 1;
+          enter_window t;
+          rwrite t rd res;
+          Tape.save rc ~sp:(rread t Isa.Reg.sp);
+          if rd = Isa.Reg.fp then Tape.set_fp rc (rread t rd))
   | Decode.Restore ->
-      fun () ->
-        retire ();
-        let res = ea t rs1 rs2 imm in
-        if t.resident = 1 then begin
-          let w = caller_window t in
-          fill_moves t w (window_sp t w)
-        end
-        else t.resident <- t.resident - 1;
-        leave_window t;
-        rwrite t rd res;
-        let below = Tape.restore rc in
-        if rd = Isa.Reg.sp then Tape.set_sp rc (rread t rd);
-        if below || rd = Isa.Reg.fp then Tape.set_fp rc (rread t Isa.Reg.fp);
-        t.pc <- fall
-  | Decode.Nop ->
-      fun () ->
-        retire ();
-        t.pc <- fall
+      straight (fun () ->
+          let res = ea t rs1 rs2 imm in
+          if t.resident = 1 then begin
+            let w = caller_window t in
+            fill_moves t w (window_sp t w)
+          end
+          else t.resident <- t.resident - 1;
+          leave_window t;
+          rwrite t rd res;
+          let below = Tape.restore rc in
+          if rd = Isa.Reg.sp then Tape.set_sp rc (rread t rd);
+          if below || rd = Isa.Reg.fp then Tape.set_fp rc (rread t Isa.Reg.fp))
+  | Decode.Nop -> straight (fun () -> ())
   | Decode.Halt ->
       fun () ->
-        retire ();
         t.halted <- true;
         t.pc <- fall
+
+(* Control transfers end a basic block. *)
+let transfers (d : Decode.insn) =
+  match d.Decode.op with
+  | Decode.Branch _ | Decode.Call | Decode.Jmpl | Decode.Halt -> true
+  | _ -> false
 
 let log2 n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
@@ -724,8 +712,6 @@ let reconfigure ?(shift_stall = 0) ?(keep_caches = false) t config =
   t.decoded <- Decode.of_program t.cm t.prog;
   t.handlers <- Array.mapi (compile t) t.decoded
 
-let record_into t rc = t.handlers <- Array.mapi (functional t rc) t.decoded
-
 let step t =
   if t.halted then false
   else begin
@@ -744,6 +730,47 @@ let run ?(max_insns = 200_000_000) t =
     if !budget <= 0 then raise (Budget_exhausted max_insns);
     decr budget;
     continue := step t
+  done
+
+(* The block-threaded recording driver.  [ends.(i)] is the last
+   instruction of the block entered at [i]: the first control transfer
+   at or after it, or the program's last instruction.  A block the
+   remaining budget covers runs in one step and retires at once; one it
+   does not steps instruction by instruction (all straight-line, since
+   the budget ends before the block's last), so the budget runs out
+   exactly where {!run}'s does. *)
+let record ?(max_insns = 200_000_000) t rc =
+  let dec = t.decoded in
+  let n = Array.length dec in
+  let h = Array.mapi (fun i d -> functional t rc ~last:(i = n - 1) i d) dec in
+  let ends = Array.make n (n - 1) in
+  for i = n - 2 downto 0 do
+    ends.(i) <- (if transfers dec.(i) then i else ends.(i + 1))
+  done;
+  let prof = t.prof in
+  let budget = ref max_insns in
+  while not t.halted do
+    let first = t.pc in
+    if !budget <= 0 then raise (Budget_exhausted max_insns);
+    if first < 0 || first >= n then
+      error "pc %d outside program (0..%d)" first (n - 1);
+    let last = Array.unsafe_get ends first in
+    let len = last - first + 1 in
+    if len <= !budget then begin
+      for i = first to last do
+        (Array.unsafe_get h i) ()
+      done;
+      budget := !budget - len;
+      prof.Profiler.instructions <- prof.Profiler.instructions + len
+    end
+    else begin
+      for i = first to first + !budget - 1 do
+        (Array.unsafe_get h i) ();
+        t.pc <- i + 1;
+        prof.Profiler.instructions <- prof.Profiler.instructions + 1
+      done;
+      budget := 0
+    end
   done
 
 (* Run until the profiler has retired [insns] instructions in total

@@ -81,16 +81,26 @@ val result : t -> int
 (** Value of %o0 in the current window — by convention the program's
     checksum at [Halt]. *)
 
-val record_into : t -> Tape.recorder -> unit
-(** Recompile every handler to execute the instruction's architectural
-    semantics and append its configuration-invariant effects to the
-    recorder (see {!Tape}), and nothing else: a separate compile, so the
-    timing handlers pay nothing for it.  Execution (registers, memory,
-    control flow, the checksum) is what the timing handlers produce, but
-    nothing is timed: no cache is probed, so the caches and their
-    statistics stay as they were, and of the profile only
-    [instructions] and [taken_branches] advance — no cycle or other
-    event is counted.  {!reconfigure} returns to the timing handlers. *)
+val record : ?max_insns:int -> t -> Tape.recorder -> unit
+(** Run to [Halt] untimed, appending each executed instruction's
+    configuration-invariant effects to the recorder (see {!Tape}).
+    Execution (registers, memory, control flow, the checksum) is what
+    {!run} produces, but nothing is timed: no cache is probed, so the
+    caches and their statistics stay as they were, and of the profile
+    only [instructions] and [taken_branches] advance.  The handlers are
+    a separate, block-threaded compile — the timing handlers pay nothing
+    for it and stay installed: each basic block (up to and including its
+    control transfer) runs as one step and retires at once.
+
+    The budget is exact: a block longer than what is left of it runs one
+    instruction at a time, so [Budget_exhausted max_insns] is raised
+    with [max_insns] instructions retired and [pc] at the next one,
+    exactly as {!run} leaves them.  After [Error] or [Memory.Fault] the
+    block that raised has not retired: [pc] is its first instruction
+    and the instruction count excludes all of it ({!run} leaves [pc] at
+    the raising instruction and counts it); registers and memory hold
+    what its instructions before the raising one wrote.
+    @raise Budget_exhausted if the budget (default 2e8) runs out. *)
 
 val read_reg : t -> Isa.Reg.t -> int
 val write_reg : t -> Isa.Reg.t -> int -> unit

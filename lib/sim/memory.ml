@@ -26,9 +26,7 @@ let read_u16 t addr =
 
 let read_u32 t addr =
   check t addr 4;
-  let lo = Bytes.get_uint16_le t.data addr in
-  let hi = Bytes.get_uint16_le t.data (addr + 2) in
-  lo lor (hi lsl 16)
+  Int32.to_int (Bytes.get_int32_le t.data addr) land 0xFFFFFFFF
 
 let write_u8 t addr v =
   check t addr 1;
@@ -40,8 +38,7 @@ let write_u16 t addr v =
 
 let write_u32 t addr v =
   check t addr 4;
-  Bytes.set_uint16_le t.data addr (v land 0xFFFF);
-  Bytes.set_uint16_le t.data (addr + 2) ((v lsr 16) land 0xFFFF)
+  Bytes.set_int32_le t.data addr (Int32.of_int v)
 
 let clear t = Bytes.fill t.data 0 (Bytes.length t.data) '\000'
 

@@ -13,6 +13,14 @@ let m_walks =
   Obs.Metrics.Counter.v "sim.pricer.walks"
     ~help:"event-stream walks, each driving one or more dcache replays"
 
+let m_recorded_insns =
+  Obs.Metrics.Counter.v "sim.pricer.recorded_insns"
+    ~help:"instructions the recorder executed"
+
+let m_record_seconds =
+  Obs.Metrics.Histogram.v "sim.pricer.record_seconds"
+    ~help:"wall time of each recording"
+
 (* A domain-safe memo table with in-flight dedup: the first caller of a
    key computes it while concurrent callers of the same key wait.  A
    failed computation is forgotten, so a later call retries it. *)
@@ -250,17 +258,18 @@ let segments text tape bounds emit =
 let record ?(mem_size = Machine.default_mem_size) ?max_insns ?reinit prog =
   Obs.Span.with_span ~cat:"sim" "sim.record" @@ fun span ->
   Obs.Metrics.Counter.incr m_records;
+  let t0 = Obs.Clock.now_ns () in
   let cpu = Cpu.create Arch.Config.base prog ~mem_size in
   let text = text_of prog in
   let epoch ?like () =
     let rc = Tape.recorder ?like () in
-    Cpu.record_into cpu rc;
-    Cpu.run ?max_insns cpu;
+    Cpu.record ?max_insns cpu rc;
     let tape = Tape.finish rc in
+    let p = Cpu.profile cpu in
+    Obs.Metrics.Counter.incr ~by:p.Profiler.instructions m_recorded_insns;
     let whole = ref None in
     segments text tape [||] (fun _ s -> whole := Some s);
     let whole = Option.get !whole in
-    let p = Cpu.profile cpu in
     if
       Array.fold_left ( + ) 0 whole.counts <> p.Profiler.instructions
       || whole.taken <> p.Profiler.taken_branches
@@ -299,6 +308,8 @@ let record ?(mem_size = Machine.default_mem_size) ?max_insns ?reinit prog =
       dmemo = Memo.create ();
     }
   in
+  Obs.Metrics.Histogram.observe m_record_seconds
+    (Int64.to_float (Int64.sub (Obs.Clock.now_ns ()) t0) /. 1e9);
   Obs.Span.add_attr span "instructions" (Obs.Json.Int cold.instructions);
   Obs.Span.add_attr span "tape_bytes" (Obs.Json.Int (tape_bytes tr));
   tr

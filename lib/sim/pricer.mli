@@ -7,7 +7,7 @@
     through the cache geometry and policy, and window traps, which
     follow the save/restore sequence through the register-window count.
 
-    {!record} executes a program once, untimed ({!Cpu.record_into}),
+    {!record} executes a program once, untimed ({!Cpu.record}),
     and keeps what is configuration-invariant in a {!Tape}, for the cold
     and the warm epoch alike.
     {!price_phased} rebuilds the {!Machine.run_phased} result for any
@@ -31,6 +31,8 @@
     a few walks ahead of its per-configuration calls.
 
     Work counters: [sim.pricer.records] counts recordings,
+    [sim.pricer.recorded_insns] the instructions they executed (and the
+    histogram [sim.pricer.record_seconds] their wall time),
     [sim.pricer.replays] the cache configurations replayed (one per
     icache walk, one per dcache configuration a walk drives) and
     [sim.pricer.walks] the event-stream walks.
@@ -63,7 +65,9 @@ val record :
     equal the cold epoch's.  With [reinit] the warm epoch executes too,
     prepared by [reinit]; one that perturbs the machine models an
     application whose repeated executions diverge.  [max_insns] is each
-    epoch's budget, as in {!Cpu.run}.  Counts [sim.pricer.records].
+    epoch's budget, as in {!Cpu.run}.  Counts [sim.pricer.records] and
+    [sim.pricer.recorded_insns], and observes
+    [sim.pricer.record_seconds].
     @raise Cpu.Budget_exhausted, Cpu.Error or Memory.Fault as the
     execution does. *)
 

@@ -1,7 +1,7 @@
 (** The configuration-invariant record of one execution epoch.
 
-    {!Cpu.record_into} switches a machine to untimed recording handlers
-    that execute the program and append what no microarchitecture
+    {!Cpu.record} runs a machine on untimed recording handlers that
+    execute the program and append what no microarchitecture
     parameter can change: where control went and the data-side events
     in program order.  {!Pricer} replays a finished tape through the
     caches of any configuration.

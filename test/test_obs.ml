@@ -516,6 +516,23 @@ let test_history_detects_regressions () =
   check_int "noise tolerated" 0
     (List.length (Obs.History.check ~history noisy))
 
+(* An experiment that recorded no program (an earlier one in the same
+   process stored them all) reports no recorder throughput: the floor
+   skips it rather than reading a missing value as a 0.00x regression,
+   and still fires on a measured slowdown. *)
+let test_history_unrecorded_skipped () =
+  let recorded v = entry (("recorded_insns_per_second", v) :: base_metrics) in
+  let history = List.init 5 (fun _ -> recorded 4.0e7) in
+  check_int "no recording, no regression" 0
+    (List.length (Obs.History.check ~history (entry base_metrics)));
+  let names e =
+    List.map (fun r -> r.Obs.History.metric) (Obs.History.check ~history e)
+  in
+  Alcotest.(check (list string))
+    "2x slower recorder flagged" [ "recorded_insns_per_second" ]
+    (names (recorded 2.0e7));
+  Alcotest.(check (list string)) "within the floor" [] (names (recorded 3.0e7))
+
 let test_history_baseline_is_median () =
   (* One bad historical sample must not poison the baseline. *)
   let history =
@@ -606,6 +623,8 @@ let () =
             test_history_detects_regressions;
           Alcotest.test_case "baseline is median" `Quick
             test_history_baseline_is_median;
+          Alcotest.test_case "unrecorded experiment skipped" `Quick
+            test_history_unrecorded_skipped;
         ] );
       ( "profiler",
         [

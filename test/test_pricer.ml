@@ -723,8 +723,7 @@ let test_recorder (app : Apps.Registry.t) () =
   let prog = Lazy.force app.Apps.Registry.program in
   let mem_size = Sim.Machine.default_mem_size in
   let cpu = Sim.Cpu.create Arch.Config.base prog ~mem_size in
-  Sim.Cpu.record_into cpu (Sim.Tape.recorder ());
-  Sim.Cpu.run cpu;
+  Sim.Cpu.record cpu (Sim.Tape.recorder ());
   let p = Sim.Cpu.profile cpu in
   let untouched =
     { Sim.Cache.reads = 0; read_misses = 0; writes = 0; write_misses = 0 }
@@ -841,6 +840,103 @@ let test_budget () =
       ("Pricer.record", fun prog -> ignore (Sim.Pricer.record ~max_insns:1000 prog));
     ]
 
+(* --- the block-threaded recorder's budget ---------------------------- *)
+
+(* Three basic blocks in a loop, 9 instructions a round:
+   [0-2] ends in a call, [5-8] in a return (jmpl), [3-4] in a
+   conditional branch; retired so far after each: 3, 7, 9, 12, ... *)
+let blocks () =
+  let a = Isa.Asm.create () in
+  let g = Isa.Reg.g in
+  Isa.Asm.label a "top";
+  Isa.Asm.emit a (alu Isa.Insn.Add (g 1) (g 1) (Isa.Insn.Imm 1));
+  Isa.Asm.emit a (alu Isa.Insn.Add (g 2) (g 2) (Isa.Insn.Reg (g 1)));
+  Isa.Asm.call a "leaf";
+  Isa.Asm.emit a (alu ~cc:true Isa.Insn.Add (g 3) (g 3) (Isa.Insn.Imm 1));
+  Isa.Asm.bcc a Isa.Insn.Ne "top";
+  Isa.Asm.label a "leaf";
+  Isa.Asm.emit a (alu Isa.Insn.Add (g 4) (g 4) (Isa.Insn.Imm 2));
+  Isa.Asm.emit a (alu Isa.Insn.Add (g 5) (g 5) (Isa.Insn.Imm 3));
+  Isa.Asm.emit a (alu Isa.Insn.Add (g 6) (g 6) (Isa.Insn.Imm 4));
+  Isa.Asm.ret a;
+  Isa.Asm.finish a ~entry:0
+
+(* [g1] + 1 into [o0] over [n] straight-line instructions, then halt. *)
+let straight n =
+  let a = Isa.Asm.create () in
+  for _ = 1 to n do
+    Isa.Asm.emit a (alu Isa.Insn.Add (o 0) (o 0) (Isa.Insn.Imm 1))
+  done;
+  Isa.Asm.emit a Isa.Insn.Halt;
+  Isa.Asm.finish a ~entry:0
+
+(* What a run leaves: how it ended, the retired instructions, pc and
+   the registers it writes. *)
+let outcome run prog =
+  let cpu = Sim.Cpu.create Arch.Config.base prog ~mem_size:(1 lsl 16) in
+  let ended =
+    match run cpu with
+    | () -> "halted"
+    | exception Sim.Cpu.Budget_exhausted n -> Printf.sprintf "budget %d" n
+  in
+  ( ended,
+    ( (Sim.Cpu.profile cpu).Sim.Profiler.instructions,
+      ( Sim.Cpu.pc cpu,
+        List.map (Sim.Cpu.read_reg cpu)
+          (o 0 :: List.init 6 (fun k -> Isa.Reg.g (k + 1))) ) ) )
+
+let outcome_t =
+  Alcotest.(pair string (pair int (pair int (list int))))
+
+let test_block_budget () =
+  let table =
+    [ "nothing", blocks, 0
+    ; "first instruction", blocks, 1
+    ; "mid-block", blocks, 2
+    ; "on a call", blocks, 3
+    ; "one before a return", blocks, 6
+    ; "on a return", blocks, 7
+    ; "before a branch", blocks, 8
+    ; "on a branch", blocks, 9
+    ; "many rounds, mid-block", blocks, 1_000_000
+    ; "halt on the last budgeted", (fun () -> straight 40), 41
+    ; "halt just past it", (fun () -> straight 40), 40
+    ; "short of a long block", (fun () -> straight 40), 17
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (what, prog, max_insns) ->
+      let recorded =
+        outcome
+          (fun cpu -> Sim.Cpu.record ~max_insns cpu (Sim.Tape.recorder ()))
+          (prog ())
+      in
+      Alcotest.check outcome_t what
+        (outcome (Sim.Cpu.run ~max_insns) (prog ()))
+        recorded)
+    table
+
+(* After an execution error the recorder's pc is the first instruction
+   of the block that raised, and the count stops before that block. *)
+let test_block_error () =
+  let a = Isa.Asm.create () in
+  Isa.Asm.emit a (alu Isa.Insn.Add (o 0) (o 0) (Isa.Insn.Imm 1));
+  Isa.Asm.ba a "next";
+  Isa.Asm.label a "next";
+  Isa.Asm.emit a (alu Isa.Insn.Add (o 0) (o 0) (Isa.Insn.Imm 1));
+  Isa.Asm.emit a
+    (Isa.Insn.Div { signed = false; rd = o 1; rs1 = o 0; op2 = Isa.Insn.Imm 0 });
+  Isa.Asm.emit a Isa.Insn.Halt;
+  let prog = Isa.Asm.finish a ~entry:0 in
+  let cpu = Sim.Cpu.create Arch.Config.base prog ~mem_size:(1 lsl 16) in
+  match Sim.Cpu.record cpu (Sim.Tape.recorder ()) with
+  | () -> Alcotest.fail "division by zero recorded"
+  | exception Sim.Cpu.Error _ ->
+      Alcotest.(check int) "pc" 2 (Sim.Cpu.pc cpu);
+      Alcotest.(check int) "instructions" 2
+        (Sim.Cpu.profile cpu).Sim.Profiler.instructions;
+      Alcotest.(check int) "written before the raise" 2 (Sim.Cpu.read_reg cpu (o 0))
+
 (* --- engine integration -------------------------------------------- *)
 
 let test_clear_rerecords () =
@@ -933,6 +1029,13 @@ let () =
         [
           Alcotest.test_case "non-deterministic epochs" `Quick test_nondeterministic;
           Alcotest.test_case "typed budget error" `Quick test_budget;
+        ] );
+      ( "block driver",
+        [
+          Alcotest.test_case "budget = per-instruction stepping" `Quick
+            test_block_budget;
+          Alcotest.test_case "state after an execution error" `Quick
+            test_block_error;
         ] );
       ( "engine",
         [

@@ -676,8 +676,7 @@ let test_reinit_is_create () =
   let mem_size = Sim.Machine.default_mem_size in
   let recorded cpu =
     let rc = Sim.Tape.recorder () in
-    Sim.Cpu.record_into cpu rc;
-    Sim.Cpu.run cpu;
+    Sim.Cpu.record cpu rc;
     (Sim.Tape.finish rc, Sim.Cpu.result cpu)
   in
   (* the recording handlers time nothing: profiles come from timed runs *)
